@@ -30,7 +30,6 @@ from .block import (
     coverage_schedule,
     kth_neighborhood,
     kth_order_similarity,
-    pcca_schedule,
     pswa_forward,
 )
 from .config import RunConfig
@@ -75,7 +74,6 @@ from .model import (
     ToyDiTConfig,
     block_forward,
     load_checkpoint,
-    model_forward,
     patchify,
     save_checkpoint,
     sinusoidal_features,

@@ -287,10 +287,6 @@ def coverage_schedule(
     return PCCASchedule(total_channels, head_dim, tuple(widths))
 
 
-# Established initialism for the progressive schedule, kept as an alias.
-pcca_schedule = coverage_schedule
-
-
 # ---------------------------------------------------------------------------
 # order-K neighborhoods and similarity
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ the exact configuration that produced it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -29,14 +30,19 @@ from .model import ToyDiT, load_checkpoint
 from .numerics import Rng, Tensor, dump_tensor, load_tensor, no_grad, set_default_dtype
 
 
-def _load_config(args) -> RunConfig:
+def _setup(args) -> tuple[RunConfig, Path]:
+    """Load the config, apply the command-line overrides, and echo the
+    result to the output directory.  Overrides pass the same checks as
+    the file, and every check runs before the output directory is made."""
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if getattr(args, "precision", None):
-        cfg.precision = args.precision
-        cfg.__post_init__()  # re-validate overrides
-    return cfg
+    overrides = {k: v for k in ("seed", "precision") if (v := getattr(args, k, None)) is not None}
+    cfg = dataclasses.replace(cfg, **overrides)
+    if getattr(args, "count", None) is not None:
+        cfg = dataclasses.replace(cfg, diagnostics=dataclasses.replace(cfg.diagnostics, sample_count=args.count))
+    set_default_dtype(cfg.precision)
+    out = Path(args.out) if args.out else Path("runs") / args.command
+    cfg.write_resolved(out)
+    return cfg, out
 
 
 def _model_from(cfg: RunConfig, args) -> tuple:
@@ -46,12 +52,6 @@ def _model_from(cfg: RunConfig, args) -> tuple:
         return net, rng
     rng = Rng(cfg.seed)
     return ToyDiT(cfg.build_model_config(), rng), rng
-
-
-def _out_dir(args, default: str) -> Path:
-    out = Path(args.out) if args.out else Path("runs") / default
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -76,10 +76,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args)
-    set_default_dtype(cfg.precision)
-    out = _out_dir(args, "train")
-    cfg.write_resolved(out)
+    cfg, out = _setup(args)
     rng = Rng(cfg.seed)
     net = ToyDiT(cfg.build_model_config(), rng)
     dataset = cfg.build_dataset(rng.split("data"))
@@ -104,12 +101,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    cfg = _load_config(args)
-    set_default_dtype(cfg.precision)
-    out = _out_dir(args, "sample")
-    cfg.write_resolved(out)
+    cfg, out = _setup(args)
     net, _ = _model_from(cfg, args)
-    count = args.count if args.count is not None else cfg.diagnostics.sample_count
+    count = cfg.diagnostics.sample_count
     mc = net.cfg
     shape = (count, mc.image_channels, mc.image_h, mc.image_w)
     labels = None
@@ -124,10 +118,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_diag_distance(args) -> int:
-    cfg = _load_config(args)
-    set_default_dtype(cfg.precision)
-    out = _out_dir(args, "diag-distance")
-    cfg.write_resolved(out)
+    cfg, out = _setup(args)
     net, _ = _model_from(cfg, args)
     rng = Rng(cfg.seed).split("diag-distance")
     dataset = cfg.build_dataset(rng.split("data"))
@@ -146,10 +137,7 @@ def cmd_diag_distance(args) -> int:
 
 
 def cmd_diag_spectrum(args) -> int:
-    cfg = _load_config(args)
-    set_default_dtype(cfg.precision)
-    out = _out_dir(args, "diag-spectrum")
-    cfg.write_resolved(out)
+    cfg, out = _setup(args)
     if args.input:
         source = f"tensor file {args.input}"
         features = load_tensor(args.input)
@@ -180,9 +168,7 @@ def cmd_diag_spectrum(args) -> int:
 
 
 def cmd_flops(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args, "flops")
-    cfg.write_resolved(out)
+    cfg, out = _setup(args)
     model_cfg = cfg.build_model_config()
     report = diagnostics.flops_report(model_cfg)
     path = diagnostics.write_flops_csv(out / "flops.csv", report)
@@ -192,7 +178,6 @@ def cmd_flops(args) -> int:
     print(f"{'total':28s} flops {report.total_flops:>12d}  params {report.total_params:>8d}")
     print(f"report: {path}")
     if args.measured:
-        set_default_dtype(cfg.precision)
         net = ToyDiT(model_cfg, Rng(cfg.seed))
         measured = diagnostics.measured_flops(net)
         print(f"instrumented forward: {measured} flops")

@@ -14,7 +14,10 @@ Shape:
 
 Every key is optional and defaulted, but unknown keys anywhere are a
 hard error -- a typo like "f_strat" must not silently run with the
-default.  The fully resolved config (defaults filled in) is echoed as
+default -- and so is a value of the wrong type or out of range; all of
+it is checked at load (see schema.py).  The "model" and "pcca" sections
+are the fields of ToyDiTConfig, which owns their defaults and rules.
+The fully resolved config (defaults filled in) is echoed as
 resolved_config.json next to any output a command writes, so a run
 directory always records exactly what produced it.
 """
@@ -25,82 +28,82 @@ import dataclasses
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 from .diffusion import NoiseSchedule, ToyDataset
 from .errors import ConfigurationError
 from .model import ToyDiTConfig
+from .schema import at_least, check_ranges, read_fields, write_fields
 
-
-@dataclass
-class ModelSection:
-    image_h: int = 16
-    image_w: int = 16
-    image_channels: int = 1
-    patch: int = 2
-    d_model: int = 32
-    depth: int = 4
-    num_heads: int = 4
-    window: list = field(default_factory=lambda: [2, 2])
-    order: int = 2
-    mlp_ratio: float = 4.0
-    class_count: int = 0
-
-
-@dataclass
-class PccaSection:
-    f_start: float = 0.25
-    f_end: float = 0.75
-    mode: str = "linear"
-    fractions: Optional[list] = None  # explicit per-layer override
+# The "model" and "pcca" sections are ToyDiTConfig's fields under their
+# JSON keys.  Only pcca.mode is renamed; max_timesteps is no key of its
+# own but follows schedule.timesteps.
+_PCCA_KEYS = {"f_start": "f_start", "f_end": "f_end", "mode": "schedule_mode", "fractions": "fractions"}
+_MODEL_KEYS = {
+    f.name: f.name
+    for f in dataclasses.fields(ToyDiTConfig)
+    if f.name not in {*_PCCA_KEYS.values(), "max_timesteps"}
+}
 
 
 @dataclass
 class ScheduleSection:
-    timesteps: int = 100
+    timesteps: int = at_least(1, default=100)
     beta_start: float = 1e-4
     beta_end: float = 2e-2
+
+    __post_init__ = check_ranges
 
 
 @dataclass
 class TrainingSection:
-    steps: int = 500
+    steps: int = at_least(1, default=500)
     lr: float = 1e-4
-    weight_decay: float = 0.0
-    batch_size: int = 16
-    dataset_size: int = 256
-    checkpoint_every: int = 0
-    log_every: int = 100
+    weight_decay: float = at_least(0.0, default=0.0)
+    batch_size: int = at_least(1, default=16)
+    dataset_size: int = at_least(1, default=256)
+    checkpoint_every: int = at_least(0, default=0)
+    log_every: int = at_least(0, default=100)
+
+    __post_init__ = check_ranges
 
 
 @dataclass
 class DiagnosticsSection:
-    survey_samples: int = 64
-    distance_buckets: int = 16
-    sample_count: int = 4
+    survey_samples: int = at_least(1, default=64)
+    distance_buckets: int = at_least(1, default=16)
+    sample_count: int = at_least(1, default=4)
+
+    __post_init__ = check_ranges
 
 
 @dataclass
 class RunConfig:
-    seed: int = 0
+    seed: int = at_least(0, default=0)
     precision: str = "f64"
-    model: ModelSection = field(default_factory=ModelSection)
-    pcca: PccaSection = field(default_factory=PccaSection)
+    model: ToyDiTConfig = field(default_factory=ToyDiTConfig)
     schedule: ScheduleSection = field(default_factory=ScheduleSection)
     training: TrainingSection = field(default_factory=TrainingSection)
     diagnostics: DiagnosticsSection = field(default_factory=DiagnosticsSection)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.precision not in ("f64", "f32"):
             raise ConfigurationError(f"precision must be 'f64' or 'f32', got {self.precision!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigurationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.model.max_timesteps != self.schedule.timesteps:
+            self.model = dataclasses.replace(self.model, max_timesteps=self.schedule.timesteps)
 
     # -- construction ----------------------------------------------------------
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        return _build(cls, raw, path="")
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(raw).__name__}")
+        raw = dict(raw)  # the model and pcca sections are popped below
+        model = {
+            **read_fields(ToyDiTConfig, raw.pop("model", {}), "model", _MODEL_KEYS),
+            **read_fields(ToyDiTConfig, raw.pop("pcca", {}), "pcca", _PCCA_KEYS),
+        }
+        return cls(model=ToyDiTConfig(**model), **read_fields(cls, raw, ""))
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -110,14 +113,16 @@ class RunConfig:
             raise ConfigurationError(f"cannot read config {path}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise ConfigurationError(f"config {path} must be a JSON object")
         return cls.from_dict(raw)
 
     # -- resolution -------------------------------------------------------------
 
     def resolved(self) -> dict:
-        return dataclasses.asdict(self)
+        return {
+            **write_fields(self),
+            "model": write_fields(self.model, _MODEL_KEYS),
+            "pcca": write_fields(self.model, _PCCA_KEYS),
+        }
 
     def write_resolved(self, out_dir) -> Path:
         out = Path(out_dir)
@@ -129,25 +134,7 @@ class RunConfig:
     # -- builders ---------------------------------------------------------------
 
     def build_model_config(self) -> ToyDiTConfig:
-        m, p = self.model, self.pcca
-        return ToyDiTConfig(
-            image_h=m.image_h,
-            image_w=m.image_w,
-            image_channels=m.image_channels,
-            patch=m.patch,
-            d_model=m.d_model,
-            depth=m.depth,
-            num_heads=m.num_heads,
-            window=tuple(m.window),
-            order=m.order,
-            f_start=p.f_start,
-            f_end=p.f_end,
-            schedule_mode=p.mode,
-            fractions=tuple(p.fractions) if p.fractions is not None else None,
-            mlp_ratio=m.mlp_ratio,
-            class_count=m.class_count,
-            max_timesteps=self.schedule.timesteps,
-        )
+        return self.model
 
     def build_noise_schedule(self) -> NoiseSchedule:
         s = self.schedule
@@ -162,33 +149,3 @@ class RunConfig:
             size=self.training.dataset_size,
             rng=rng,
         )
-
-
-_SECTIONS = {
-    "model": ModelSection,
-    "pcca": PccaSection,
-    "schedule": ScheduleSection,
-    "training": TrainingSection,
-    "diagnostics": DiagnosticsSection,
-}
-
-
-def _build(cls, raw: dict, path: str):
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config section {path or '<root>'} must be an object, got {type(raw).__name__}")
-    known = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        where = path or "top level"
-        raise ConfigurationError(f"unknown config key(s) at {where}: {', '.join(unknown)}")
-    kwargs = {}
-    for name, value in raw.items():
-        sub = _SECTIONS.get(name) if cls is RunConfig else None
-        if sub is not None:
-            kwargs[name] = _build(sub, value, path=f"{path}{name}" if not path else f"{path}.{name}")
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ConfigurationError(f"bad config value near {path or 'top level'}: {exc}") from None

@@ -29,51 +29,46 @@ from .attention import AttentionParams, WindowSpec
 from .block import BridgeParams, PCCASchedule, PSWALayerConfig, coverage_schedule, pswa_forward
 from .errors import ConfigurationError, DimensionError, DomainError, UsageError
 from .numerics import Rng, Tensor, as_tensor, dump_tensor, load_tensor, ops
+from .schema import at_least, check_ranges, read_fields, write_fields
 
 
 @dataclass
 class ToyDiTConfig:
-    image_h: int = 16
-    image_w: int = 16
-    image_channels: int = 1
+    image_h: int = at_least(1, default=16)
+    image_w: int = at_least(1, default=16)
+    image_channels: int = at_least(1, default=1)
     patch: int = 2
     d_model: int = 32
-    depth: int = 4
+    depth: int = at_least(0, default=4)
     num_heads: int = 4
-    window: tuple = (2, 2)
-    order: int = 2
+    window: tuple[int, int] = (2, 2)
+    order: int = at_least(1, default=2)
     f_start: float = 0.25
     f_end: float = 0.75
     schedule_mode: str = "linear"
-    fractions: Optional[tuple] = None  # explicit per-layer override (ablations)
+    fractions: Optional[tuple[float, ...]] = None  # explicit per-layer override (ablations)
     mlp_ratio: float = 4.0
-    class_count: int = 0
-    max_timesteps: int = 100
+    class_count: int = at_least(0, default=0)
+    max_timesteps: int = at_least(1, default=100)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.patch < 1 or self.image_h % self.patch or self.image_w % self.patch:
             raise ConfigurationError(f"patch {self.patch} must divide image {self.image_h}x{self.image_w}")
         if self.d_model < 1 or self.num_heads < 1 or self.d_model % self.num_heads:
             raise ConfigurationError(f"d_model {self.d_model} not divisible by num_heads {self.num_heads}")
         if self.d_model % 2:
             raise ConfigurationError("d_model must be even for the sinusoidal embedding")
-        if self.depth < 0:
-            raise ConfigurationError(f"depth must be >= 0, got {self.depth}")
-        if self.order < 1:
-            raise ConfigurationError(f"order must be >= 1, got {self.order}")
         wh, ww = self.window
-        if self.grid_h % wh or self.grid_w % ww:
+        if wh < 1 or ww < 1 or self.grid_h % wh or self.grid_w % ww:
             raise ConfigurationError(
                 f"window {wh}x{ww} must divide token grid {self.grid_h}x{self.grid_w}"
             )
         if self.fractions is not None and len(self.fractions) != self.depth:
             raise ConfigurationError(f"fractions has {len(self.fractions)} entries for depth {self.depth}")
-        if self.class_count < 0:
-            raise ConfigurationError("class_count must be >= 0")
-        if self.max_timesteps < 1:
-            raise ConfigurationError("max_timesteps must be >= 1")
         if self.mlp_ratio <= 0:
             raise ConfigurationError("mlp_ratio must be positive")
+        self.build_schedule()  # f_start, f_end, schedule_mode and fractions fail here, not at model build
 
     @property
     def grid_h(self) -> int:
@@ -333,9 +328,6 @@ class ToyDiT:
             value = state[name]
             tensor.assign_(value.data if isinstance(value, Tensor) else value)
 
-    def parameter_count(self) -> int:
-        return sum(t.size for t in self.named_parameters().values())
-
     # -- forward ----------------------------------------------------------------
 
     def condition(self, t, batch: int, labels=None) -> Tensor:
@@ -398,28 +390,9 @@ class ToyDiT:
     __call__ = forward
 
 
-def model_forward(model: ToyDiT, x, t, labels=None) -> Tensor:
-    return model.forward(x, t, labels)
-
-
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
-
-def config_to_dict(cfg: ToyDiTConfig) -> dict:
-    d = dict(cfg.__dict__)
-    d["window"] = list(cfg.window)
-    d["fractions"] = list(cfg.fractions) if cfg.fractions is not None else None
-    return d
-
-
-def config_from_dict(d: dict) -> ToyDiTConfig:
-    kwargs = dict(d)
-    kwargs["window"] = tuple(kwargs["window"])
-    if kwargs.get("fractions") is not None:
-        kwargs["fractions"] = tuple(kwargs["fractions"])
-    return ToyDiTConfig(**kwargs)
-
 
 def save_checkpoint(directory, model: ToyDiT, step: int, rng: Rng, extra: Optional[dict] = None) -> Path:
     """Write manifest.json plus one PSWT dump per named parameter."""
@@ -429,7 +402,7 @@ def save_checkpoint(directory, model: ToyDiT, step: int, rng: Rng, extra: Option
     manifest = {
         "format": 1,
         "step": int(step),
-        "model_config": config_to_dict(model.cfg),
+        "model_config": write_fields(model.cfg),
         "rng": rng.state_dict(),
         "params": {name: f"{name}.pswt" for name in params},
     }
@@ -449,10 +422,17 @@ def load_checkpoint(directory):
     training stream exactly where the checkpoint left it.
     """
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format") != 1:
-        raise UsageError(f"unknown checkpoint format {manifest.get('format')!r}")
-    cfg = config_from_dict(manifest["model_config"])
+    path = directory / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"checkpoint manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict) or manifest.get("format") != 1:
+        raise UsageError(f"{path} is not a format-1 checkpoint manifest")
+    missing = sorted({"model_config", "rng", "params"} - set(manifest))
+    if missing:
+        raise ConfigurationError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
+    cfg = ToyDiTConfig(**read_fields(ToyDiTConfig, manifest["model_config"], "model_config"))
     rng = Rng.from_state_dict(manifest["rng"])
     model = ToyDiT(cfg, Rng(0))  # parameters are overwritten below
     state = {name: load_tensor(directory / fname) for name, fname in manifest["params"].items()}

@@ -13,10 +13,8 @@ from .tensor import (
     default_dtype,
     grad_enabled,
     no_grad,
-    ones,
     set_debug_checks,
     set_default_dtype,
-    zero_grads,
     zeros,
 )
 
@@ -36,10 +34,8 @@ __all__ = [
     "gradcheck",
     "load_tensor",
     "no_grad",
-    "ones",
     "ops",
     "set_debug_checks",
     "set_default_dtype",
-    "zero_grads",
     "zeros",
 ]

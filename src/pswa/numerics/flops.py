@@ -28,10 +28,6 @@ class FlopCounter:
 _active: FlopCounter | None = None
 
 
-def active_counter() -> FlopCounter | None:
-    return _active
-
-
 def record(op: str, flops: int) -> None:
     if _active is not None:
         _active.add(op, flops)

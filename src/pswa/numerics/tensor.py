@@ -15,7 +15,7 @@ to chase; this is a desk-scale reference, not a training framework).
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -133,10 +133,6 @@ class Tensor:
             raise UsageError(f"item() on tensor of {self.data.size} elements")
         return float(self.data.reshape(()))
 
-    def numpy(self) -> np.ndarray:
-        """A defensive copy of the payload."""
-        return np.array(self.data, copy=True)
-
     def detach(self) -> "Tensor":
         return Tensor._wrap(self.data)
 
@@ -243,12 +239,3 @@ def as_tensor(value, dtype=None) -> Tensor:
 
 def zeros(shape: Sequence[int] | int, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=_default_dtype), requires_grad=requires_grad)
-
-
-def ones(shape: Sequence[int] | int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=_default_dtype), requires_grad=requires_grad)
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None

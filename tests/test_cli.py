@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pswa.cli import main
+from pswa.config import RunConfig
 from pswa.numerics import load_tensor, dump_tensor, ops
 
 
@@ -83,6 +85,9 @@ def test_train_writes_artifacts(tiny_config, tmp_path, capsys):
     assert resolved["seed"] == 0
     assert resolved["model"]["d_model"] == 8
     assert resolved["training"]["steps"] == 3
+    # the README's defaults block must not drift from the code's defaults
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0]) == RunConfig().resolved()
 
     with open(out / "metrics.csv", newline="") as fh:
         rows = list(csv.reader(fh))
@@ -177,11 +182,35 @@ def test_flops_report_and_measured_cross_check(tiny_config, tmp_path, capsys):
 # error handling
 # ---------------------------------------------------------------------------
 
-def test_unknown_config_key_is_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("argv, patch, key", [
+    pytest.param(["train"], {"model": {"f_strat": 0.5}}, "f_strat", id="unknown_key"),
+    pytest.param(["train"], {"model": {"depth": "4"}}, "depth", id="depth_str"),
+    pytest.param(["train"], {"model": {"depth": True}}, "depth", id="depth_bool"),
+    pytest.param(["train"], {"model": {"window": [2]}}, "window", id="window_short"),
+    pytest.param(["train"], {"model": {"window": "ab"}}, "window", id="window_str"),
+    pytest.param(["train"], {"pcca": {"fractions": [0.5, "x", 1, 1]}}, "fractions", id="fractions_item"),
+    pytest.param(["train"], {"training": {"lr": "0.1"}}, "lr", id="lr_str"),
+    pytest.param(["train"], {"training": {"steps": 1.5}}, "steps", id="steps_float"),
+    pytest.param(["train"], {"training": {"batch_size": 0}}, "batch_size", id="batch_size_0"),
+    pytest.param(["train"], {"training": {"log_every": -1}}, "log_every", id="log_every_negative"),
+    pytest.param(["train"], {"training": {"checkpoint_every": -2}}, "checkpoint_every", id="checkpoint_every_negative"),
+    pytest.param(["sample"], {"diagnostics": {"sample_count": 0}}, "sample_count", id="sample_count_0"),
+    pytest.param(["train", "--seed", "-3"], {}, "seed", id="seed_override_negative"),
+    pytest.param(["sample", "--count", "-1"], {}, "count", id="count_override_negative"),
+    pytest.param(["sample", "--count", "0"], {}, "count", id="count_override_0"),
+])
+def test_unknown_config_key_is_exit_2(tiny_config, tmp_path, capsys, argv, patch, key):
+    raw = json.loads(tiny_config.read_text())
+    for section, values in patch.items():
+        raw.setdefault(section, {}).update(values)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"model": {"f_strat": 0.5}}))
-    assert main(["train", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
-    assert "f_strat" in capsys.readouterr().err
+    bad.write_text(json.dumps(raw))
+    out = tmp_path / "o"
+    assert main([*argv, "--config", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert key in err
+    assert "Traceback" not in err
+    assert not out.exists()  # every check runs before the output directory is made
 
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):

@@ -8,8 +8,6 @@ from pswa.model import (
     ToyDiT,
     ToyDiTConfig,
     block_forward,
-    config_from_dict,
-    config_to_dict,
     load_checkpoint,
     patchify,
     save_checkpoint,
@@ -18,6 +16,7 @@ from pswa.model import (
     unpatchify,
 )
 from pswa.numerics import Rng, Tensor
+from pswa.schema import read_fields, write_fields
 
 
 def tiny_cfg(**kw):
@@ -216,9 +215,9 @@ def test_load_state_roundtrip_and_strictness(np_rng):
 
 def test_config_dict_roundtrip():
     for cfg in [tiny_cfg(), tiny_cfg(fractions=(0.5, 0.5), class_count=4)]:
-        d = config_to_dict(cfg)
+        d = write_fields(cfg)
         json.dumps(d)  # must be serializable as-is
-        assert config_from_dict(d) == cfg
+        assert ToyDiTConfig(**read_fields(ToyDiTConfig, d, "model_config")) == cfg
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +247,25 @@ def test_checkpoint_roundtrip_bitexact(tmp_path, np_rng):
     np.testing.assert_array_equal(resumed.normal((4,)), expected_next)
 
 
-def test_checkpoint_rejects_unknown_format(tmp_path):
+def _edited(edit):
+    def corrupt(text):
+        doc = json.loads(text)
+        edit(doc)
+        return json.dumps(doc)
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, error, match", [
+    pytest.param(_edited(lambda d: d.update(format=2)), UsageError, "format", id="format_2"),
+    pytest.param(lambda text: text[: len(text) // 2], ConfigurationError, "JSON", id="truncated"),
+    pytest.param(_edited(lambda d: d.pop("rng")), ConfigurationError, "rng", id="no_rng"),
+    pytest.param(_edited(lambda d: d["model_config"].update(depth="2")), ConfigurationError, "depth", id="depth_str"),
+    pytest.param(_edited(lambda d: d["model_config"].update(f_strat=0.5)), ConfigurationError, "f_strat", id="unknown_key"),
+])
+def test_checkpoint_rejects_unknown_format(tmp_path, corrupt, error, match):
     model = ToyDiT(tiny_cfg(), Rng(0))
     save_checkpoint(tmp_path / "ckpt", model, step=0, rng=Rng(0))
     manifest_path = tmp_path / "ckpt" / "manifest.json"
-    doc = json.loads(manifest_path.read_text())
-    doc["format"] = 2
-    manifest_path.write_text(json.dumps(doc))
-    with pytest.raises(UsageError):
+    manifest_path.write_text(corrupt(manifest_path.read_text()))
+    with pytest.raises(error, match=match):
         load_checkpoint(tmp_path / "ckpt")

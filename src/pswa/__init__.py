@@ -11,9 +11,7 @@ distance, radial spectra, FLOPs accounting) used to study all of it.
 from .attention import (
     AttentionParams,
     WindowSpec,
-    block_window_mask,
     full_mhsa,
-    masked_full_attention_oracle,
     relative_position_index,
     window_attention,
     window_merge,

@@ -1,4 +1,4 @@
-"""Multi-head self-attention: full, windowed, and a dense masked oracle.
+"""Multi-head self-attention: full and windowed.
 
 Tokens are laid out row-major.  For a grid of width W, the token at
 flat index i sits at row ``i // W`` and column ``i - W * (i // W)``;
@@ -8,10 +8,6 @@ each window, so merging is the exact inverse permutation.
 The windowed path adds a learned relative-position bias to the logits
 before the row softmax: one scalar per head per (d_row, d_col) offset,
 looked up from a table of size (2*wh - 1) * (2*ww - 1).
-
-`masked_full_attention_oracle` is a deliberately independent reference:
-plain numpy, explicit per-head loops, no shared code with the fast
-path.  Tests drive both routes and compare.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, UndefinedRowError
+from .errors import ConfigurationError, DimensionError
 from .numerics import Rng, Tensor, as_tensor, ops, zeros
 
 
@@ -203,74 +199,10 @@ def window_attention(x, params: AttentionParams, spec: WindowSpec, return_maps: 
     back too.
     """
     x = as_tensor(x)
-    if x.ndim != 4:
-        raise DimensionError(f"window_attention expects [B, H, W, C], got {x.shape}")
     if spec.num_heads != params.num_heads:
         raise ConfigurationError(f"bias table has {spec.num_heads} heads, params have {params.num_heads}")
-    b, h, w, _ = x.shape
     wins = window_partition(x, spec)
+    b, h, w, _ = x.shape
     out, maps = _attend(wins, params, spec.bias_matrix())
     merged = window_merge(out, spec, b, h, w)
     return (merged, maps) if return_maps else merged
-
-
-def block_window_mask(height: int, width: int, window_h: int, window_w: int) -> np.ndarray:
-    """Boolean [N, N]: True where two flat tokens share a window."""
-    if height % window_h or width % window_w:
-        raise ConfigurationError(f"grid {height}x{width} not divisible by window {window_h}x{window_w}")
-    n = height * width
-    rows = np.arange(n) // width
-    cols = np.arange(n) % width
-    win_id = (rows // window_h) * (width // window_w) + cols // window_w
-    return win_id[:, None] == win_id[None, :]
-
-
-# ---------------------------------------------------------------------------
-# independent oracle
-# ---------------------------------------------------------------------------
-
-def masked_full_attention_oracle(x, params: AttentionParams, mask: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Dense attention with an explicit [N, N] keep-mask; forward only.
-
-    Masked logits are set to -inf before the softmax.  A row with every
-    position masked has no defined distribution and raises.  ``bias``,
-    if given, is a [heads, N, N] additive logit term (applied before
-    masking).  Implemented with per-head loops on raw numpy so it
-    shares nothing with the fast path.
-    """
-    data = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    if data.ndim != 3:
-        raise DimensionError(f"oracle expects [B, N, C], got {data.shape}")
-    b, n, c = data.shape
-    if c != params.channels:
-        raise DimensionError(f"token channels {c} != projection size {params.channels}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n, n):
-        raise DimensionError(f"mask shape {mask.shape} != ({n}, {n})")
-    if not mask.any(axis=1).all():
-        raise UndefinedRowError("mask leaves at least one query row with no visible keys")
-    heads, d = params.num_heads, params.head_dim
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.float64)
-        if bias.shape != (heads, n, n):
-            raise DimensionError(f"bias shape {bias.shape} != ({heads}, {n}, {n})")
-
-    out = np.empty_like(data)
-    for bi in range(b):
-        tok = data[bi]
-        q_all = tok @ params.w_q.data
-        k_all = tok @ params.w_k.data
-        v_all = tok @ params.w_v.data
-        mixed = np.empty((n, c), dtype=data.dtype)
-        for hd in range(heads):
-            sl = slice(hd * d, (hd + 1) * d)
-            logits = (q_all[:, sl] @ k_all[:, sl].T) / math.sqrt(d)
-            if bias is not None:
-                logits = logits + bias[hd]
-            logits = np.where(mask, logits, -np.inf)
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            weights = np.exp(shifted)
-            weights /= weights.sum(axis=1, keepdims=True)
-            mixed[:, sl] = weights @ v_all[:, sl]
-        out[bi] = mixed @ params.w_o.data
-    return out

@@ -136,8 +136,6 @@ def bridge_branch(x_bridge, params: Optional[BridgeParams]) -> Tensor:
         return x_bridge
     if params is None:
         raise ConfigurationError("bridge params required when bridge channels > 0")
-    if params.channels != cb:
-        raise DimensionError(f"bridge params sized for {params.channels} channels, input has {cb}")
     nchw = ops.transpose(x_bridge, (0, 3, 1, 2))
     y = ops.depthwise_conv2d(nchw, params.depthwise)
     y = ops.pointwise_conv2d(y, params.pointwise_w, params.pointwise_b)
@@ -162,21 +160,15 @@ def pswa_forward(
     if cfg.window_channels > 0:
         if attn_params is None:
             raise ConfigurationError("attention params required when window_channels > 0")
-        if attn_params.channels != cfg.window_channels:
-            raise DimensionError(
-                f"attention params sized for {attn_params.channels} channels, window slice has {cfg.window_channels}"
-            )
         y_win, maps = window_attention(x_win, attn_params, cfg.window_spec, return_maps=True)
     else:
         y_win = x_win
     if cfg.bridge_channels > 0:
-        if bridge_params is None:
-            raise ConfigurationError("bridge params required when bridge channels > 0")
+        y_bridge = bridge_branch(x_bridge, bridge_params)  # first: it raises when bridge_params is None
         if bridge_params.kernel != cfg.bridge_kernel:
             raise ConfigurationError(
                 f"bridge kernel {bridge_params.kernel} != 2*order-1 = {cfg.bridge_kernel}"
             )
-        y_bridge = bridge_branch(x_bridge, bridge_params)
     else:
         y_bridge = x_bridge
     out = ops.concat([y_win, y_bridge], axis=3)

@@ -32,7 +32,7 @@ from pathlib import Path
 from .diffusion import NoiseSchedule, ToyDataset
 from .errors import ConfigurationError
 from .model import ToyDiTConfig
-from .schema import at_least, check_ranges, read_fields, write_fields
+from .schema import at_least, check_ranges, inside, read_fields, write_fields
 
 # The "model" and "pcca" sections are ToyDiTConfig's fields under their
 # JSON keys.  Only pcca.mode is renamed; max_timesteps is no key of its
@@ -48,8 +48,8 @@ _MODEL_KEYS = {
 @dataclass
 class ScheduleSection:
     timesteps: int = at_least(1, default=100)
-    beta_start: float = 1e-4
-    beta_end: float = 2e-2
+    beta_start: float = inside(0.0, 1.0, default=1e-4)
+    beta_end: float = inside(0.0, 1.0, default=2e-2)
 
     __post_init__ = check_ranges
 
@@ -57,7 +57,7 @@ class ScheduleSection:
 @dataclass
 class TrainingSection:
     steps: int = at_least(1, default=500)
-    lr: float = 1e-4
+    lr: float = inside(0.0, default=1e-4)
     weight_decay: float = at_least(0.0, default=0.0)
     batch_size: int = at_least(1, default=16)
     dataset_size: int = at_least(1, default=256)

@@ -29,7 +29,7 @@ from .attention import AttentionParams, WindowSpec
 from .block import BridgeParams, PCCASchedule, PSWALayerConfig, coverage_schedule, pswa_forward
 from .errors import ConfigurationError, DimensionError, DomainError, UsageError
 from .numerics import Rng, Tensor, as_tensor, dump_tensor, load_tensor, ops
-from .schema import at_least, check_ranges, read_fields, write_fields
+from .schema import at_least, check_ranges, inside, read_fields, write_fields
 
 
 @dataclass
@@ -47,7 +47,7 @@ class ToyDiTConfig:
     f_end: float = 0.75
     schedule_mode: str = "linear"
     fractions: Optional[tuple[float, ...]] = None  # explicit per-layer override (ablations)
-    mlp_ratio: float = 4.0
+    mlp_ratio: float = inside(0.0, default=4.0)
     class_count: int = at_least(0, default=0)
     max_timesteps: int = at_least(1, default=100)
 
@@ -66,8 +66,6 @@ class ToyDiTConfig:
             )
         if self.fractions is not None and len(self.fractions) != self.depth:
             raise ConfigurationError(f"fractions has {len(self.fractions)} entries for depth {self.depth}")
-        if self.mlp_ratio <= 0:
-            raise ConfigurationError("mlp_ratio must be positive")
         self.build_schedule()  # f_start, f_end, schedule_mode and fractions fail here, not at model build
 
     @property
@@ -387,8 +385,6 @@ class ToyDiT:
         out = ops.reshape(out, (b, cfg.grid_h, cfg.grid_w, cfg.patch_dim))
         return unpatchify(out, cfg.patch, cfg.image_channels)
 
-    __call__ = forward
-
 
 # ---------------------------------------------------------------------------
 # checkpoints
@@ -433,8 +429,14 @@ def load_checkpoint(directory):
     if missing:
         raise ConfigurationError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
     cfg = ToyDiTConfig(**read_fields(ToyDiTConfig, manifest["model_config"], "model_config"))
-    rng = Rng.from_state_dict(manifest["rng"])
+    try:
+        rng = Rng.from_state_dict(manifest["rng"])
+    except (LookupError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"checkpoint manifest {path}: rng is not a saved Rng state ({exc!r})") from None
+    files = manifest["params"]
+    if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
+        raise ConfigurationError(f"checkpoint manifest {path}: params must map parameter names to file names")
     model = ToyDiT(cfg, Rng(0))  # parameters are overwritten below
-    state = {name: load_tensor(directory / fname) for name, fname in manifest["params"].items()}
+    state = {name: load_tensor(directory / fname) for name, fname in files.items()}
     model.load_state(state)
     return manifest, model, rng

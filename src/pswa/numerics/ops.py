@@ -420,23 +420,3 @@ def gather_last(table, index) -> Tensor:
 
     return _result(data, "gather_last", (table,), backward)
 
-
-# ---------------------------------------------------------------------------
-# operator sugar on Tensor
-# ---------------------------------------------------------------------------
-
-def _div(a, b):
-    if isinstance(b, Tensor):
-        raise NotImplementedError("tensor/tensor division is not part of this op set")
-    return scale(a, 1.0 / float(b))
-
-
-Tensor.__add__ = lambda self, other: add(self, other)
-Tensor.__radd__ = lambda self, other: add(other, self)
-Tensor.__sub__ = lambda self, other: sub(self, other)
-Tensor.__rsub__ = lambda self, other: sub(other, self)
-Tensor.__mul__ = lambda self, other: mul(self, other)
-Tensor.__rmul__ = lambda self, other: mul(other, self)
-Tensor.__neg__ = lambda self: neg(self)
-Tensor.__truediv__ = _div
-Tensor.__matmul__ = lambda self, other: matmul(self, other)

@@ -69,9 +69,6 @@ class Rng:
     def choice(self, options, shape=()):
         return self._gen.choice(options, size=shape)
 
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
     # -- checkpointing ---------------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -31,14 +31,9 @@ _grad_enabled = True
 def set_default_dtype(dtype) -> None:
     """Set the element type new tensors are created with ("f64"/"f32")."""
     global _default_dtype
-    if isinstance(dtype, str):
-        if dtype not in _DTYPES:
-            raise UsageError(f"unknown dtype name {dtype!r}; expected 'f64' or 'f32'")
-        _default_dtype = _DTYPES[dtype]
-    elif dtype in (np.float64, np.float32):
-        _default_dtype = np.dtype(dtype).type
-    else:
-        raise UsageError(f"unsupported dtype {dtype!r}")
+    if dtype not in _DTYPES:
+        raise UsageError(f"unknown dtype name {dtype!r}; expected 'f64' or 'f32'")
+    _default_dtype = _DTYPES[dtype]
 
 
 def default_dtype():
@@ -88,9 +83,8 @@ class OpNode:
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        dt = _default_dtype if dtype is None else (_DTYPES[dtype] if isinstance(dtype, str) else dtype)
-        arr = np.ascontiguousarray(data, dtype=dt)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.ascontiguousarray(data, dtype=_default_dtype)
         if _debug_checks and not np.all(np.isfinite(arr)):
             raise NumericsError("tensor constructed with non-finite values")
         self.data: np.ndarray = arr
@@ -133,9 +127,6 @@ class Tensor:
             raise UsageError(f"item() on tensor of {self.data.size} elements")
         return float(self.data.reshape(()))
 
-    def detach(self) -> "Tensor":
-        return Tensor._wrap(self.data)
-
     def __repr__(self) -> str:
         head = np.array2string(self.data, threshold=8, precision=6)
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})\n{head}"
@@ -156,9 +147,6 @@ class Tensor:
         if _debug_checks and not np.all(np.isfinite(arr)):
             raise NumericsError("assign_ with non-finite values")
         np.copyto(self.data, arr)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     # -- autodiff entry point ---------------------------------------------------
 
@@ -230,11 +218,11 @@ class GradTape:
                     grads[key] = contrib
 
 
-def as_tensor(value, dtype=None) -> Tensor:
+def as_tensor(value) -> Tensor:
     """Coerce arrays/scalars to a constant Tensor; pass Tensors through."""
     if isinstance(value, Tensor):
         return value
-    return Tensor(value, dtype=dtype)
+    return Tensor(value)
 
 
 def zeros(shape: Sequence[int] | int, requires_grad: bool = False) -> Tensor:

@@ -8,9 +8,10 @@ bool), float (a finite int or float, never bool), str, a fixed-length
 of those, and nested dataclass sections -- and rejects unknown keys, so a
 typo or a wrong type fails as ConfigurationError naming the key.
 
-Range rules are declared once on their field with `at_least` and checked
-by `check_ranges` from ``__post_init__``, so they hold for values set in
-code (``dataclasses.replace``) as well as for values read from JSON.
+Range rules are declared once on their field with `at_least` or `inside`
+and checked by `check_ranges` from ``__post_init__``, so they hold for
+values set in code (``dataclasses.replace``) as well as for values read
+from JSON.
 """
 
 from __future__ import annotations
@@ -32,12 +33,22 @@ def at_least(low, *, default):
     return dataclasses.field(default=default, metadata={"min": low})
 
 
+def inside(low, high=math.inf, *, default):
+    """A dataclass field whose value must be > low and < high."""
+    return dataclasses.field(default=default, metadata={"open": (low, high)})
+
+
 def check_ranges(obj) -> None:
     for f in dataclasses.fields(obj):
         low = f.metadata.get("min")
         value = getattr(obj, f.name)
         if low is not None and value < low:
             raise ConfigurationError(f"{f.name} must be >= {low}, got {value!r}")
+        if "open" in f.metadata:
+            low, high = f.metadata["open"]
+            if not low < value < high:
+                upper = f" and < {high}" if high < math.inf else ""
+                raise ConfigurationError(f"{f.name} must be > {low}{upper}, got {value!r}")
 
 
 def read_fields(cls, raw, where: str, keys: Optional[dict] = None) -> dict:

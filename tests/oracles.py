@@ -6,7 +6,11 @@ checks.  Keep it that way: a test that compares a fast path against
 these is only worth something while the two routes stay independent.
 """
 
+import math
+
 import numpy as np
+
+from pswa.errors import ConfigurationError, DimensionError, UndefinedRowError
 
 
 def brute_attention_distance(attn_map, grid_width):
@@ -155,3 +159,61 @@ def expand_window_bias(bias_matrix, height, width, window_h, window_w):
                 for q, tq in enumerate(tokens):
                     full[:, tp, tq] = bias_matrix[:, p, q]
     return full
+
+
+def block_window_mask(height, width, window_h, window_w):
+    """Boolean [N, N]: True where two flat tokens share a window."""
+    if height % window_h or width % window_w:
+        raise ConfigurationError(f"grid {height}x{width} not divisible by window {window_h}x{window_w}")
+    n = height * width
+    rows = np.arange(n) // width
+    cols = np.arange(n) % width
+    win_id = (rows // window_h) * (width // window_w) + cols // window_w
+    return win_id[:, None] == win_id[None, :]
+
+
+def masked_full_attention_oracle(x, params, mask, bias=None):
+    """Dense attention with an explicit [N, N] keep-mask; forward only.
+
+    Masked logits are set to -inf before the softmax.  A row with every
+    position masked has no defined distribution and raises.  ``bias``,
+    if given, is a [heads, N, N] additive logit term (applied before
+    masking).  Implemented with per-head loops on raw numpy so it
+    shares nothing with the fast path.
+    """
+    data = np.asarray(x, dtype=np.float64)
+    if data.ndim != 3:
+        raise DimensionError(f"oracle expects [B, N, C], got {data.shape}")
+    b, n, c = data.shape
+    if c != params.channels:
+        raise DimensionError(f"token channels {c} != projection size {params.channels}")
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n, n):
+        raise DimensionError(f"mask shape {mask.shape} != ({n}, {n})")
+    if not mask.any(axis=1).all():
+        raise UndefinedRowError("mask leaves at least one query row with no visible keys")
+    heads, d = params.num_heads, params.head_dim
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.float64)
+        if bias.shape != (heads, n, n):
+            raise DimensionError(f"bias shape {bias.shape} != ({heads}, {n}, {n})")
+
+    out = np.empty_like(data)
+    for bi in range(b):
+        tok = data[bi]
+        q_all = tok @ params.w_q.data
+        k_all = tok @ params.w_k.data
+        v_all = tok @ params.w_v.data
+        mixed = np.empty((n, c), dtype=data.dtype)
+        for hd in range(heads):
+            sl = slice(hd * d, (hd + 1) * d)
+            logits = (q_all[:, sl] @ k_all[:, sl].T) / math.sqrt(d)
+            if bias is not None:
+                logits = logits + bias[hd]
+            logits = np.where(mask, logits, -np.inf)
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            weights = np.exp(shifted)
+            weights /= weights.sum(axis=1, keepdims=True)
+            mixed[:, sl] = weights @ v_all[:, sl]
+        out[bi] = mixed @ params.w_o.data
+    return out

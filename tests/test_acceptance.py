@@ -11,18 +11,14 @@ import json
 import numpy as np
 import pytest
 from oracles import (
+    block_window_mask,
     brute_attention_distance,
     brute_neighborhood,
     brute_similarity,
+    masked_full_attention_oracle,
 )
 
-from pswa.attention import (
-    AttentionParams,
-    WindowSpec,
-    block_window_mask,
-    masked_full_attention_oracle,
-    window_attention,
-)
+from pswa.attention import AttentionParams, WindowSpec, window_attention
 from pswa.block import (
     BridgeParams,
     aggregate_neighborhood,

@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
-from oracles import expand_window_bias
+from oracles import block_window_mask, expand_window_bias, masked_full_attention_oracle
 
 from pswa.attention import (
     AttentionParams,
     WindowSpec,
-    block_window_mask,
     full_mhsa,
-    masked_full_attention_oracle,
     relative_position_index,
     window_attention,
     window_merge,
@@ -154,6 +152,11 @@ def test_channel_mismatch_rejected():
     params = make_params(4, 2, seed=1)
     with pytest.raises(DimensionError):
         full_mhsa(Tensor(np.zeros((1, 5, 6))), params)
+    spec = make_spec(2, 2, 2, seed=1)
+    with pytest.raises(DimensionError, match=r"\[B, H, W, C\], got \(4, 4, 4\)"):
+        window_attention(Tensor(np.zeros((4, 4, 4))), params, spec)
+    with pytest.raises(DimensionError, match=r"\[B, H, W, C\], got \(1, 4, 4, 4, 1\)"):
+        window_attention(Tensor(np.zeros((1, 4, 4, 4, 1))), params, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,10 @@ def test_flops_report_and_measured_cross_check(tiny_config, tmp_path, capsys):
     pytest.param(["train"], {"model": {"window": "ab"}}, "window", id="window_str"),
     pytest.param(["train"], {"pcca": {"fractions": [0.5, "x", 1, 1]}}, "fractions", id="fractions_item"),
     pytest.param(["train"], {"training": {"lr": "0.1"}}, "lr", id="lr_str"),
+    pytest.param(["train"], {"training": {"lr": 0}}, "lr", id="lr_0"),
+    pytest.param(["train"], {"training": {"lr": -1e-4}}, "lr", id="lr_negative"),
+    pytest.param(["train"], {"schedule": {"beta_start": 0}}, "beta_start", id="beta_start_0"),
+    pytest.param(["train"], {"schedule": {"beta_end": 1.5}}, "beta_end", id="beta_end_1_5"),
     pytest.param(["train"], {"training": {"steps": 1.5}}, "steps", id="steps_float"),
     pytest.param(["train"], {"training": {"batch_size": 0}}, "batch_size", id="batch_size_0"),
     pytest.param(["train"], {"training": {"log_every": -1}}, "log_every", id="log_every_negative"),

@@ -261,6 +261,10 @@ def _edited(edit):
     pytest.param(_edited(lambda d: d.pop("rng")), ConfigurationError, "rng", id="no_rng"),
     pytest.param(_edited(lambda d: d["model_config"].update(depth="2")), ConfigurationError, "depth", id="depth_str"),
     pytest.param(_edited(lambda d: d["model_config"].update(f_strat=0.5)), ConfigurationError, "f_strat", id="unknown_key"),
+    pytest.param(_edited(lambda d: d.update(rng={})), ConfigurationError, "rng is not", id="rng_empty"),
+    pytest.param(_edited(lambda d: d["rng"].pop("philox")), ConfigurationError, "rng is not", id="rng_no_philox"),
+    pytest.param(_edited(lambda d: d.update(params=["a"])), ConfigurationError, "params must", id="params_list"),
+    pytest.param(_edited(lambda d: d["params"].update({"head.b": 3})), ConfigurationError, "params must", id="params_entry_int"),
 ])
 def test_checkpoint_rejects_unknown_format(tmp_path, corrupt, error, match):
     model = ToyDiT(tiny_cfg(), Rng(0))

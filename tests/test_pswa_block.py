@@ -83,8 +83,13 @@ def test_pswa_forward_validates_params(np_rng):
     cfg = layer_cfg(8, 4, heads=2)
     with pytest.raises(ConfigurationError):
         pswa_forward(x, cfg, None, BridgeParams.create(4, 3, Rng(0)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError, match="8.*4|4.*8"):
         pswa_forward(x, cfg, AttentionParams.create(8, 2, Rng(0)), BridgeParams.create(4, 3, Rng(0)))
+    # bridge params sized for 6 channels on the 4-channel bridge slice
+    with pytest.raises(DimensionError, match="6.*4"):
+        pswa_forward(x, cfg, AttentionParams.create(4, 2, Rng(0)), BridgeParams.create(6, 3, Rng(0)))
+    with pytest.raises(DimensionError, match="6.*4"):
+        bridge_branch(Tensor(np_rng.normal(size=(1, 4, 4, 4))), BridgeParams.create(6, 3, Rng(0)))
     with pytest.raises(ConfigurationError):
         # order 2 wants kernel 3, give 5
         pswa_forward(x, cfg, AttentionParams.create(4, 2, Rng(0)), BridgeParams.create(4, 5, Rng(0)))

@@ -104,8 +104,8 @@ class WindowSpec:
         return self.bias_table.shape[0]
 
     @classmethod
-    def create(cls, window_h: int, window_w: int, num_heads: int, trainable: bool = True) -> "WindowSpec":
-        table = zeros((num_heads, (2 * window_h - 1) * (2 * window_w - 1)), requires_grad=trainable)
+    def create(cls, window_h: int, window_w: int, num_heads: int) -> "WindowSpec":
+        table = zeros((num_heads, (2 * window_h - 1) * (2 * window_w - 1)), requires_grad=True)
         return cls(window_h, window_w, table)
 
     def bias_matrix(self) -> Tensor:

@@ -8,12 +8,16 @@ A block splits the C channels of a [B, H, W, C] token grid at h:
     odd kernel (side 2K - 1) straddles window borders, so information
     crosses between adjacent windows through these channels instead.
 
-The split point h is per-layer state.  `coverage_schedule` grows h with
-depth: early layers keep most channels on the local conv branch, late
-layers hand them to attention.  The schedule value K (the "order")
-also sizes the bridge kernel: after one block, a channel routed through
-the bridge has mixed a Chebyshev-(K-1) neighborhood, which is exactly
-the neighborhood the order-K similarity below is defined on.
+`PSWALayerConfig` owns one layer's mixing stage: the window geometry
+and both branches' parameters.  h and C are read off those parameters
+(h is the attention width), never stored beside them.
+`coverage_schedule` picks h per layer and grows it with depth: early
+layers keep most channels on the local conv branch, late layers hand
+them to attention.  The schedule value K (the "order") also sizes the
+bridge kernel, which the model builds with side 2K - 1: after one
+block, a channel routed through the bridge has mixed a Chebyshev-(K-1)
+neighborhood, which is exactly the neighborhood the order-K similarity
+below is defined on.
 
 `kth_order_similarity` is the scoring rule this layout approximates:
 instead of comparing single tokens q_i . k_j, compare alpha-weighted
@@ -39,36 +43,6 @@ from .numerics import Rng, Tensor, as_tensor, ops
 # ---------------------------------------------------------------------------
 
 @dataclass
-class PSWALayerConfig:
-    """Static shape/split description of one block's mixing stage."""
-
-    total_channels: int
-    window_channels: int
-    order: int
-    window_spec: Optional[WindowSpec] = None
-
-    def __post_init__(self):
-        c, h = self.total_channels, self.window_channels
-        if c < 1:
-            raise ConfigurationError(f"total_channels must be >= 1, got {c}")
-        if not 0 <= h <= c:
-            raise ConfigurationError(f"window_channels {h} outside [0, {c}]")
-        if self.order < 1:
-            raise ConfigurationError(f"order must be >= 1, got {self.order}")
-        if h > 0 and self.window_spec is None:
-            raise ConfigurationError("window_spec required when window_channels > 0")
-
-    @property
-    def bridge_channels(self) -> int:
-        return self.total_channels - self.window_channels
-
-    @property
-    def bridge_kernel(self) -> int:
-        """Bridge conv side length; odd by construction."""
-        return 2 * self.order - 1
-
-
-@dataclass
 class BridgeParams:
     """Depthwise-separable conv parameters for the bridge channels."""
 
@@ -89,10 +63,6 @@ class BridgeParams:
     def channels(self) -> int:
         return self.depthwise.shape[0]
 
-    @property
-    def kernel(self) -> int:
-        return self.depthwise.shape[1]
-
     @classmethod
     def create(cls, channels: int, kernel: int, rng: Rng, std: float = 0.02) -> "BridgeParams":
         return cls(
@@ -103,6 +73,42 @@ class BridgeParams:
 
     def parameters(self) -> dict[str, Tensor]:
         return {"dw": self.depthwise, "pw_w": self.pointwise_w, "pw_b": self.pointwise_b}
+
+
+@dataclass
+class PSWALayerConfig:
+    """One block's mixing stage: window attention on channels [0, h), the
+    bridge on [h, C).  The widths are read off the parameters, so they
+    cannot disagree with them; a branch of width 0 is None."""
+
+    window_spec: Optional[WindowSpec]
+    attn: Optional[AttentionParams]
+    bridge: Optional[BridgeParams]
+
+    def __post_init__(self):
+        if (self.attn is None) != (self.window_spec is None):
+            raise ConfigurationError("attn and window_spec must be given together")
+        if self.attn is None and self.bridge is None:
+            raise ConfigurationError("a mixing stage needs a window branch, a bridge branch or both")
+
+    @property
+    def window_channels(self) -> int:
+        return self.attn.channels if self.attn is not None else 0
+
+    @property
+    def bridge_channels(self) -> int:
+        return self.bridge.channels if self.bridge is not None else 0
+
+    @property
+    def total_channels(self) -> int:
+        return self.window_channels + self.bridge_channels
+
+    def parameters(self) -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for prefix, part in (("win", self.window_spec), ("attn", self.attn), ("bridge", self.bridge)):
+            if part is not None:
+                out.update({f"{prefix}.{k}": v for k, v in part.parameters().items()})
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -122,55 +128,30 @@ def channel_split(x, cfg: PSWALayerConfig):
     return ops.narrow(x, 3, 0, h), ops.narrow(x, 3, h, cfg.bridge_channels)
 
 
-def bridge_branch(x_bridge, params: Optional[BridgeParams]) -> Tensor:
-    """Depthwise conv (odd kernel, zero padding) then pointwise mixing.
-
-    Zero bridge channels is a no-op: the empty input passes through and
-    params may be None.
-    """
+def bridge_branch(x_bridge, params: BridgeParams) -> Tensor:
+    """Depthwise conv (odd kernel, zero padding) then pointwise mixing."""
     x_bridge = as_tensor(x_bridge)
     if x_bridge.ndim != 4:
         raise DimensionError(f"bridge_branch expects [B,H,W,Cb], got {x_bridge.shape}")
-    cb = x_bridge.shape[3]
-    if cb == 0:
-        return x_bridge
-    if params is None:
-        raise ConfigurationError("bridge params required when bridge channels > 0")
     nchw = ops.transpose(x_bridge, (0, 3, 1, 2))
     y = ops.depthwise_conv2d(nchw, params.depthwise)
     y = ops.pointwise_conv2d(y, params.pointwise_w, params.pointwise_b)
     return ops.transpose(y, (0, 2, 3, 1))
 
 
-def pswa_forward(
-    x,
-    cfg: PSWALayerConfig,
-    attn_params: Optional[AttentionParams],
-    bridge_params: Optional[BridgeParams],
-    return_maps: bool = False,
-):
+def pswa_forward(x, cfg: PSWALayerConfig, return_maps: bool = False):
     """Run both branches on their channel slices and reassemble.
 
     Output keeps the input layout: window-branch channels [0, h), bridge
     channels [h, C).  With ``return_maps`` also yields the window-branch
     attention maps ([B*nW, heads, wn, wn]; None when h == 0).
     """
-    x_win, x_bridge = channel_split(x, cfg)
+    y_win, y_bridge = channel_split(x, cfg)
     maps = None
-    if cfg.window_channels > 0:
-        if attn_params is None:
-            raise ConfigurationError("attention params required when window_channels > 0")
-        y_win, maps = window_attention(x_win, attn_params, cfg.window_spec, return_maps=True)
-    else:
-        y_win = x_win
-    if cfg.bridge_channels > 0:
-        y_bridge = bridge_branch(x_bridge, bridge_params)  # first: it raises when bridge_params is None
-        if bridge_params.kernel != cfg.bridge_kernel:
-            raise ConfigurationError(
-                f"bridge kernel {bridge_params.kernel} != 2*order-1 = {cfg.bridge_kernel}"
-            )
-    else:
-        y_bridge = x_bridge
+    if cfg.attn is not None:
+        y_win, maps = window_attention(y_win, cfg.attn, cfg.window_spec, return_maps=True)
+    if cfg.bridge is not None:
+        y_bridge = bridge_branch(y_bridge, cfg.bridge)
     out = ops.concat([y_win, y_bridge], axis=3)
     return (out, maps) if return_maps else out
 

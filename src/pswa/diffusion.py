@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
 from .model import ToyDiT, save_checkpoint
-from .numerics import Rng, Tensor, no_grad, ops
+from .numerics import Rng, Tensor, default_dtype, no_grad, ops
 
 
 class NoiseSchedule:
@@ -157,7 +157,9 @@ def ddpm_sample(model: ToyDiT, schedule: NoiseSchedule, shape, rng: Rng, labels=
     """Ancestral sampling from pure noise down to t = 0.
 
     Deterministic given (rng stream, parameters): one draw for the
-    initial state, then one per strictly-positive timestep.
+    initial state, then one per strictly-positive timestep.  The update
+    arithmetic runs in float64; the samples come back in the default
+    dtype, so an f32 run writes f32 samples.
     """
     if model.cfg.max_timesteps < schedule.timesteps:
         raise ConfigurationError(
@@ -174,7 +176,7 @@ def ddpm_sample(model: ToyDiT, schedule: NoiseSchedule, shape, rng: Rng, labels=
                 x = mean + np.sqrt(var) * rng.normal(shape)
             else:
                 x = mean
-    return x
+    return x.astype(default_dtype(), copy=False)
 
 
 # ---------------------------------------------------------------------------

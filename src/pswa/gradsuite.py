@@ -171,27 +171,26 @@ def _case_pswa_mixed(rng: Rng):
     attn = attention.AttentionParams.create(4, 1, rng.split("attn"), std=0.3)
     spec = attention.WindowSpec(2, 2, _t(rng, "bias", (1, 9), std=0.2))
     bridge = block.BridgeParams.create(4, 3, rng.split("bridge"), std=0.3)
-    cfg = block.PSWALayerConfig(total_channels=8, window_channels=4, order=2, window_spec=spec)
+    cfg = block.PSWALayerConfig(spec, attn, bridge)
     x = _t(rng, "x", (1, 4, 4, 8))
     w = rng.split("w").normal((1, 4, 4, 8))
 
     def fn(x_, *_):
-        return _weighted(block.pswa_forward(x_, cfg, attn, bridge), w)
+        return _weighted(block.pswa_forward(x_, cfg), w)
 
-    inputs = [x, spec.bias_table, *attn.parameters().values(), *bridge.parameters().values()]
-    return fn, inputs
+    return fn, [x, *cfg.parameters().values()]
 
 
 def _case_bridge_only(rng: Rng):
     bridge = block.BridgeParams.create(6, 3, rng.split("bridge"), std=0.3)
-    cfg = block.PSWALayerConfig(total_channels=6, window_channels=0, order=2, window_spec=None)
+    cfg = block.PSWALayerConfig(None, None, bridge)
     x = _t(rng, "x", (2, 2, 4, 6))
     w = rng.split("w").normal((2, 2, 4, 6))
 
     def fn(x_, *_):
-        return _weighted(block.pswa_forward(x_, cfg, None, bridge), w)
+        return _weighted(block.pswa_forward(x_, cfg), w)
 
-    return fn, [x, *bridge.parameters().values()]
+    return fn, [x, *cfg.parameters().values()]
 
 
 # -- model --------------------------------------------------------------------
@@ -235,11 +234,7 @@ def _case_block_forward(rng: Rng):
     def fn(*_):
         return _weighted(model.block_forward(x, cond, blk, layer_cfg), w)
 
-    inputs = [x, cond]
-    inputs += [v for k, v in blk.parameters().items()]
-    if layer_cfg.window_spec is not None:
-        inputs.append(layer_cfg.window_spec.bias_table)
-    return fn, inputs
+    return fn, [x, cond, *layer_cfg.parameters().values(), *blk.parameters().values()]
 
 
 def _case_model_end_to_end(rng: Rng):

@@ -28,7 +28,7 @@ import numpy as np
 from .attention import AttentionParams, WindowSpec
 from .block import BridgeParams, PCCASchedule, PSWALayerConfig, coverage_schedule, pswa_forward
 from .errors import ConfigurationError, DimensionError, DomainError, UsageError
-from .numerics import Rng, Tensor, as_tensor, dump_tensor, load_tensor, ops
+from .numerics import Rng, Tensor, as_tensor, default_dtype, dump_tensor, load_tensor, ops
 from .schema import at_least, check_ranges, inside, read_fields, write_fields
 
 
@@ -100,10 +100,9 @@ class ToyDiTConfig:
 
 @dataclass
 class BlockParams:
-    """Learnable state of one block (the layer geometry lives in PSWALayerConfig)."""
+    """The MLP and modulation weights of one block; the mixing stage's
+    parameters live in its PSWALayerConfig."""
 
-    attn: Optional[AttentionParams]
-    bridge: Optional[BridgeParams]
     mlp_w1: Tensor
     mlp_b1: Tensor
     mlp_w2: Tensor
@@ -112,22 +111,14 @@ class BlockParams:
     mod_b: Tensor  # [6C]
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        if self.attn is not None:
-            out.update({f"attn.{k}": v for k, v in self.attn.parameters().items()})
-        if self.bridge is not None:
-            out.update({f"bridge.{k}": v for k, v in self.bridge.parameters().items()})
-        out.update(
-            {
-                "mlp.w1": self.mlp_w1,
-                "mlp.b1": self.mlp_b1,
-                "mlp.w2": self.mlp_w2,
-                "mlp.b2": self.mlp_b2,
-                "mod.w": self.mod_w,
-                "mod.b": self.mod_b,
-            }
-        )
-        return out
+        return {
+            "mlp.w1": self.mlp_w1,
+            "mlp.b1": self.mlp_b1,
+            "mlp.w2": self.mlp_w2,
+            "mlp.b2": self.mlp_b2,
+            "mod.w": self.mod_w,
+            "mod.b": self.mod_b,
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +220,7 @@ def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig, return_map
     )
 
     h = _modulate(ops.layernorm(x), sh1, sc1)
-    h, maps = pswa_forward(h, cfg, params.attn, params.bridge, return_maps=True)
+    h, maps = pswa_forward(h, cfg, return_maps=True)
     x = ops.add(x, ops.mul(g1, h))
 
     h = _modulate(ops.layernorm(x), sh2, sc2)
@@ -270,25 +261,16 @@ class ToyDiT:
         self.blocks: list[BlockParams] = []
         hidden = int(round(d * cfg.mlp_ratio))
         wh, ww = cfg.window
+        kernel = 2 * cfg.order - 1  # the bridge's reach matches the order-K neighborhood
         for l in range(cfg.depth):
             h_l = self.schedule.window_channels[l]
             heads_l = h_l // cfg.head_dim
             spec = WindowSpec.create(wh, ww, heads_l) if h_l else None
-            attn = (
-                AttentionParams.create(h_l, heads_l, init.split(f"blocks.{l}.attn"))
-                if h_l
-                else None
-            )
-            bridge = (
-                BridgeParams.create(d - h_l, 2 * cfg.order - 1, init.split(f"blocks.{l}.bridge"))
-                if d - h_l
-                else None
-            )
-            self.layer_configs.append(PSWALayerConfig(d, h_l, cfg.order, spec))
+            attn = AttentionParams.create(h_l, heads_l, init.split(f"blocks.{l}.attn")) if h_l else None
+            bridge = BridgeParams.create(d - h_l, kernel, init.split(f"blocks.{l}.bridge")) if d - h_l else None
+            self.layer_configs.append(PSWALayerConfig(spec, attn, bridge))
             self.blocks.append(
                 BlockParams(
-                    attn=attn,
-                    bridge=bridge,
                     mlp_w1=normal(f"blocks.{l}.mlp.w1", (d, hidden)),
                     mlp_b1=zero((hidden,)),
                     mlp_w2=normal(f"blocks.{l}.mlp.w2", (hidden, d)),
@@ -308,9 +290,7 @@ class ToyDiT:
         if self.class_embed is not None:
             params["class_embed.table"] = self.class_embed
         for l, (cfg_l, blk) in enumerate(zip(self.layer_configs, self.blocks)):
-            if cfg_l.window_spec is not None:
-                params[f"blocks.{l}.win.bias_table"] = cfg_l.window_spec.bias_table
-            params.update({f"blocks.{l}.{k}": v for k, v in blk.parameters().items()})
+            params.update({f"blocks.{l}.{k}": v for k, v in {**cfg_l.parameters(), **blk.parameters()}.items()})
         params["head.w"] = self.head_w
         params["head.b"] = self.head_b
         return params
@@ -414,8 +394,9 @@ def load_checkpoint(directory):
     """Read a checkpoint directory -> (manifest, rebuilt ToyDiT, Rng).
 
     The model is reconstructed from the manifest's config echo and its
-    parameters overwritten from the dumps; the returned Rng resumes the
-    training stream exactly where the checkpoint left it.
+    parameters overwritten from the dumps, which must hold the run's
+    default dtype; the returned Rng resumes the training stream exactly
+    where the checkpoint left it.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -436,7 +417,11 @@ def load_checkpoint(directory):
     files = manifest["params"]
     if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
         raise ConfigurationError(f"checkpoint manifest {path}: params must map parameter names to file names")
-    model = ToyDiT(cfg, Rng(0))  # parameters are overwritten below
     state = {name: load_tensor(directory / fname) for name, fname in files.items()}
+    run_dtype = np.dtype(default_dtype())
+    for name, tensor in state.items():
+        if tensor.dtype != run_dtype:
+            raise ConfigurationError(f"checkpoint parameter {name} is {tensor.dtype}, but this run computes in {run_dtype}")
+    model = ToyDiT(cfg, Rng(0))  # parameters are overwritten below
     model.load_state(state)
     return manifest, model, rng

@@ -88,8 +88,14 @@ class Rng:
 
     @classmethod
     def from_state_dict(cls, state: dict) -> "Rng":
-        rng = cls(state["seed"], tuple(state["path"]))
         ph = state["philox"]
+        words = [state["seed"], *state["path"], *ph["counter"], *ph["key"], *ph["buffer"]]
+        words += [ph["buffer_pos"], ph["has_uint32"], ph["uinteger"]]
+        if not all(type(w) is int and 0 <= w <= _MASK64 for w in words):  # not bool, not float
+            raise ValueError("rng state words must be ints in [0, 2**64)")
+        if len(state["path"]) > 1:
+            raise ValueError(f"rng path holds at most one word, got {len(state['path'])}")
+        rng = cls(state["seed"], tuple(state["path"]))
         bg_state = rng._gen.bit_generator.state
         bg_state["state"]["counter"] = np.array(ph["counter"], dtype=np.uint64)
         bg_state["state"]["key"] = np.array(ph["key"], dtype=np.uint64)

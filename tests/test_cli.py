@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,24 @@ def test_sample_fresh_and_from_checkpoint(tiny_config, tmp_path):
     assert trained.shape == (2, 1, 8, 8)
     # training moved the parameters, so the draws must differ
     assert (trained != samples).any()
+
+
+def test_sample_checkpoint_precision_must_match(tiny_config, tmp_path, capsys):
+    train_out = tmp_path / "train"
+    assert main(["train", "--config", str(tiny_config), "--out", str(train_out), "--precision", "f32"]) == 0
+    ckpt = str(train_out / "ckpt-final")
+
+    f32 = tmp_path / "f32"
+    assert main(["sample", "--config", str(tiny_config), "--out", str(f32), "--ckpt", ckpt, "--precision", "f32"]) == 0
+    assert load_tensor(f32 / "samples.pswt").data.dtype == np.float32
+
+    # without the flag the run computes in float64, which the f32 dumps do not hold
+    f64 = tmp_path / "f64"
+    capsys.readouterr()
+    assert main(["sample", "--config", str(tiny_config), "--out", str(f64), "--ckpt", ckpt]) == 2
+    err = capsys.readouterr().err
+    assert re.search(r"parameter [\w.]+ is float32, but this run computes in float64", err)
+    assert not (f64 / "samples.pswt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -263,6 +263,10 @@ def _edited(edit):
     pytest.param(_edited(lambda d: d["model_config"].update(f_strat=0.5)), ConfigurationError, "f_strat", id="unknown_key"),
     pytest.param(_edited(lambda d: d.update(rng={})), ConfigurationError, "rng is not", id="rng_empty"),
     pytest.param(_edited(lambda d: d["rng"].pop("philox")), ConfigurationError, "rng is not", id="rng_no_philox"),
+    pytest.param(_edited(lambda d: d["rng"].update(seed=1.5)), ConfigurationError, "rng is not", id="rng_seed_float"),
+    pytest.param(_edited(lambda d: d["rng"].update(seed=-1)), ConfigurationError, "rng is not", id="rng_seed_negative"),
+    pytest.param(_edited(lambda d: d["rng"]["philox"].update(key=[1.5, 2])), ConfigurationError, "rng is not", id="rng_key_float"),
+    pytest.param(_edited(lambda d: d["rng"].update(path=[1, 2, 3])), ConfigurationError, "rng is not", id="rng_path_long"),
     pytest.param(_edited(lambda d: d.update(params=["a"])), ConfigurationError, "params must", id="params_list"),
     pytest.param(_edited(lambda d: d["params"].update({"head.b": 3})), ConfigurationError, "params must", id="params_entry_int"),
 ])

@@ -16,14 +16,17 @@ from pswa.block import (
     pswa_forward,
 )
 from pswa.errors import ConfigurationError, DimensionError, DomainError
+from pswa.model import ToyDiT, ToyDiTConfig
 from pswa.numerics import Rng, Tensor
 
 
-def layer_cfg(c, h, order=2, wh=2, ww=2, heads=None):
-    spec = None
-    if h > 0:
-        spec = WindowSpec.create(wh, ww, num_heads=heads if heads is not None else max(1, h // 2))
-    return PSWALayerConfig(c, h, order, spec)
+def layer_cfg(c, h, order=2, heads=None):
+    """A c-channel mixing stage: h window channels, a kernel-(2*order-1) bridge on the rest."""
+    heads = heads if heads is not None else max(1, h // 2)
+    spec = WindowSpec.create(2, 2, heads) if h else None
+    attn = AttentionParams.create(h, heads, Rng(0), std=0.3) if h else None
+    bridge = BridgeParams.create(c - h, 2 * order - 1, Rng(1), std=0.3) if c - h else None
+    return PSWALayerConfig(spec, attn, bridge)
 
 
 # ---------------------------------------------------------------------------
@@ -34,6 +37,7 @@ def test_channel_split_edges(np_rng):
     x = Tensor(np_rng.normal(size=(1, 2, 2, 6)))
     for h in (0, 2, 6):
         cfg = layer_cfg(6, h, heads=1)
+        assert (cfg.window_channels, cfg.bridge_channels, cfg.total_channels) == (h, 6 - h, 6)
         a, b = channel_split(x, cfg)
         assert a.shape == (1, 2, 2, h)
         assert b.shape == (1, 2, 2, 6 - h)
@@ -42,18 +46,16 @@ def test_channel_split_edges(np_rng):
 
 def test_pswa_forward_is_composition_of_branches(np_rng):
     # the mixed block must equal running each branch alone on its slice
-    c, h, order = 8, 4, 2
-    cfg = layer_cfg(c, h, order=order, heads=2)
-    attn = AttentionParams.create(h, 2, Rng(0), std=0.3)
-    bridge = BridgeParams.create(c - h, 2 * order - 1, Rng(1), std=0.3)
+    c, h = 8, 4
+    cfg = layer_cfg(c, h, heads=2)
     x = Tensor(np_rng.normal(size=(2, 4, 4, c)))
 
-    out, maps = pswa_forward(x, cfg, attn, bridge, return_maps=True)
+    out, maps = pswa_forward(x, cfg, return_maps=True)
 
     x_win = Tensor(x.data[..., :h].copy())
     x_bridge = Tensor(x.data[..., h:].copy())
-    want_win = window_attention(x_win, attn, cfg.window_spec)
-    want_bridge = bridge_branch(x_bridge, bridge)
+    want_win = window_attention(x_win, cfg.attn, cfg.window_spec)
+    want_bridge = bridge_branch(x_bridge, cfg.bridge)
     np.testing.assert_array_equal(out.data[..., :h], want_win.data)
     np.testing.assert_array_equal(out.data[..., h:], want_bridge.data)
     assert maps.shape == (2 * 4, 2, 4, 4)
@@ -61,47 +63,50 @@ def test_pswa_forward_is_composition_of_branches(np_rng):
 
 def test_pswa_forward_all_window(np_rng):
     cfg = layer_cfg(4, 4, heads=2)
-    attn = AttentionParams.create(4, 2, Rng(2), std=0.3)
+    assert cfg.bridge is None
     x = Tensor(np_rng.normal(size=(1, 4, 4, 4)))
-    out = pswa_forward(x, cfg, attn, None)
-    want = window_attention(x, attn, cfg.window_spec)
+    out = pswa_forward(x, cfg)
+    want = window_attention(x, cfg.attn, cfg.window_spec)
     np.testing.assert_array_equal(out.data, want.data)
 
 
 def test_pswa_forward_all_bridge(np_rng):
     cfg = layer_cfg(4, 0, order=3)
-    bridge = BridgeParams.create(4, 5, Rng(3), std=0.3)
+    assert cfg.attn is None and cfg.window_spec is None
     x = Tensor(np_rng.normal(size=(1, 6, 6, 4)))
-    out, maps = pswa_forward(x, cfg, None, bridge, return_maps=True)
+    out, maps = pswa_forward(x, cfg, return_maps=True)
     assert maps is None
-    want = bridge_branch(x, bridge)
+    want = bridge_branch(x, cfg.bridge)
     np.testing.assert_array_equal(out.data, want.data)
 
 
 def test_pswa_forward_validates_params(np_rng):
     x = Tensor(np_rng.normal(size=(1, 4, 4, 8)))
-    cfg = layer_cfg(8, 4, heads=2)
-    with pytest.raises(ConfigurationError):
-        pswa_forward(x, cfg, None, BridgeParams.create(4, 3, Rng(0)))
-    with pytest.raises(DimensionError, match="8.*4|4.*8"):
-        pswa_forward(x, cfg, AttentionParams.create(8, 2, Rng(0)), BridgeParams.create(4, 3, Rng(0)))
-    # bridge params sized for 6 channels on the 4-channel bridge slice
-    with pytest.raises(DimensionError, match="6.*4"):
-        pswa_forward(x, cfg, AttentionParams.create(4, 2, Rng(0)), BridgeParams.create(6, 3, Rng(0)))
+    spec = WindowSpec.create(2, 2, 2)
+    # attention sized for 8 channels makes the stage 12 wide, against an 8-channel input
+    cfg = PSWALayerConfig(spec, AttentionParams.create(8, 2, Rng(0)), BridgeParams.create(4, 3, Rng(0)))
+    with pytest.raises(DimensionError, match="12.*8"):
+        pswa_forward(x, cfg)
+    # bridge params sized for 6 channels make it 10 wide
+    cfg = PSWALayerConfig(spec, AttentionParams.create(4, 2, Rng(0)), BridgeParams.create(6, 3, Rng(0)))
+    with pytest.raises(DimensionError, match="10.*8"):
+        pswa_forward(x, cfg)
     with pytest.raises(DimensionError, match="6.*4"):
         bridge_branch(Tensor(np_rng.normal(size=(1, 4, 4, 4))), BridgeParams.create(6, 3, Rng(0)))
-    with pytest.raises(ConfigurationError):
-        # order 2 wants kernel 3, give 5
-        pswa_forward(x, cfg, AttentionParams.create(4, 2, Rng(0)), BridgeParams.create(4, 5, Rng(0)))
-    # missing bridge params
-    with pytest.raises(ConfigurationError):
-        pswa_forward(x, cfg, AttentionParams.create(4, 2, Rng(0)), None)
+    # a bias table with 1 head against 2-head attention params
+    cfg = PSWALayerConfig(WindowSpec.create(2, 2, 1), cfg.attn, None)
+    with pytest.raises(ConfigurationError, match="1 heads.*2"):
+        pswa_forward(Tensor(x.data[..., :4]), cfg)
 
 
 def test_bridge_kernel_tracks_order():
+    # the model sizes every bridge kernel 2K - 1 from the configured order K
     for order, kernel in [(1, 1), (2, 3), (3, 5), (5, 9)]:
-        cfg = PSWALayerConfig(4, 0, order)
-        assert cfg.bridge_kernel == kernel
+        cfg = ToyDiTConfig(image_h=8, image_w=8, d_model=8, depth=3, num_heads=2, order=order, f_end=0.5)
+        bridges = [layer.bridge for layer in ToyDiT(cfg, Rng(0)).layer_configs]
+        assert len(bridges) == 3 and all(b is not None for b in bridges)
+        for b in bridges:
+            assert b.depthwise.shape[1:] == (kernel, kernel)
 
 
 def test_bridge_identity_configuration(np_rng):
@@ -116,14 +121,15 @@ def test_bridge_identity_configuration(np_rng):
 
 
 def test_layer_config_validation():
-    with pytest.raises(ConfigurationError):
-        PSWALayerConfig(4, 5, 2)
-    with pytest.raises(ConfigurationError):
-        PSWALayerConfig(4, -1, 2)
-    with pytest.raises(ConfigurationError):
-        PSWALayerConfig(4, 0, 0)
-    with pytest.raises(ConfigurationError):
-        PSWALayerConfig(4, 2, 2, None)  # window channels need a spec
+    spec, attn = WindowSpec.create(2, 2, 2), AttentionParams.create(4, 2, Rng(0))
+    bridge = BridgeParams.create(4, 3, Rng(0))
+    with pytest.raises(ConfigurationError, match="together"):
+        PSWALayerConfig(None, attn, bridge)  # attention without its window
+    with pytest.raises(ConfigurationError, match="together"):
+        PSWALayerConfig(spec, None, bridge)  # a window without attention
+    with pytest.raises(ConfigurationError, match="branch"):
+        PSWALayerConfig(None, None, None)  # no branch at all
+    assert PSWALayerConfig(spec, attn, bridge).total_channels == 8
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,6 @@ from .diagnostics import (
     flops_report,
     hf_band_fraction,
     measured_flops,
-    radial_spectrum,
 )
 from .diffusion import (
     AdamW,

@@ -159,8 +159,8 @@ def cmd_diag_spectrum(args) -> int:
             return 2
         source = f"block {layer} features at t={t}"
         radii, profile = diagnostics.feature_spectrum(grabbed[layer])
-    path = diagnostics.write_spectrum_csv(out / "spectrum.csv", radii, profile)
     hf = diagnostics.hf_band_fraction(profile)
+    path = diagnostics.write_spectrum_csv(out / "spectrum.csv", radii, profile)
     print(f"radial spectrum of {source}")
     print(f"high-frequency band fraction (outer half of bins): {hf:.4f}")
     print(f"profile: {path}")

@@ -7,20 +7,20 @@ is numpy-only and forward-only; nothing records gradients.
 
 Conventions, fixed once and used everywhere:
 
-* Attention distance: for a map A over N = H*W row-major tokens on a
-  grid of width W, token i sits at row i // W, column i - W*(i // W).
-  The row distance is sum_ij A_ij * |row_j - row_i| / sum_ij A_ij, and
-  likewise for columns.  Rows of a softmax map each sum to one, so this
-  equals the per-query average; the form above also tolerates
-  unnormalized maps.  Negative entries are rejected, zero total mass is
-  degenerate.
+* Attention distance, per map of a [..., N, N] stack: for a map A over
+  N = H*W row-major tokens on a grid of width W, token i sits at row
+  i // W, column i - W*(i // W).  The row distance is sum_ij A_ij *
+  |row_j - row_i| / sum_ij A_ij, and likewise for columns.  Rows of a
+  softmax map each sum to one, so this equals the per-query average; the
+  form above also tolerates unnormalized maps.  Negative entries are
+  rejected, zero total mass is degenerate.
 
-* Radial spectrum: fft2 -> fftshift -> log1p(|.|), then the mean of
-  that magnitude over 16 annular bins of normalized frequency radius.
-  With fy = (i - H//2)/H and fx = (j - W//2)/W the radius sqrt(fy^2 +
-  fx^2) spans [0, sqrt(0.5)]; bins are equal-width over that range,
-  lower edge inclusive, and the Nyquist corner lands in the last bin.
-  Empty bins report 0.
+* Radial spectrum, per [H, W] slice and then averaged over slices:
+  fft2 -> fftshift -> log1p(|.|), then the mean of that magnitude over
+  16 annular bins of normalized frequency radius.  With fy = (i - H//2)/H
+  and fx = (j - W//2)/W the radius sqrt(fy^2 + fx^2) spans [0, sqrt(0.5)];
+  bins are equal-width over that range, lower edge inclusive, and the
+  Nyquist corner lands in the last bin.  Empty bins report 0.
 
 * FLOPs: one multiply-accumulate = 2 FLOPs; only matmuls and the two
   conv kernels count (softmax, norms, elementwise and gathers are
@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .diffusion import NoiseSchedule, q_sample
-from .errors import ConfigurationError, DegenerateMapError, DimensionError
+from .errors import ConfigurationError, DegenerateMapError, DimensionError, NumericsError
 from .model import ToyDiT, ToyDiTConfig
 from .numerics import Rng, Tensor, no_grad
 from .numerics.flops import count_flops
@@ -48,30 +48,47 @@ from .numerics.flops import count_flops
 SPECTRUM_BINS = 16
 
 
+def _write_csv(path, header, rows, comment=None) -> Path:
+    """Write ``rows`` under ``header``, after a ``# comment`` line if one is given."""
+    path = Path(path)
+    with open(path, "w", newline="") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+    return path
+
+
 # ---------------------------------------------------------------------------
 # attention distance
 # ---------------------------------------------------------------------------
 
-def attention_distance(attn_map, grid_width: int) -> tuple:
-    """Mass-weighted mean (row, col) distance of an [N, N] attention map.
+def attention_distance(maps, grid_width: int) -> tuple:
+    """Mass-weighted mean (row, col) distance of each [N, N] map in ``maps``.
 
-    ``grid_width`` is the token-grid width the flat indices refer to.
+    ``maps`` is [..., N, N] and ``grid_width`` is the token-grid width the
+    flat indices refer to.  Returns (d_row, d_col), each shaped like the
+    leading axes of ``maps``: plain floats for a single map.  Every map
+    must be non-negative with nonzero mass.
     """
-    a = attn_map.data if isinstance(attn_map, Tensor) else np.asarray(attn_map, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionError(f"attention map must be square [N, N], got {a.shape}")
-    n = a.shape[0]
+    a = np.asarray(maps.data if isinstance(maps, Tensor) else maps, dtype=np.float64)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionError(f"attention maps must be [..., N, N], got {a.shape}")
+    n = a.shape[-1]
     if grid_width < 1 or n % grid_width:
         raise ConfigurationError(f"token count {n} not divisible by grid width {grid_width}")
     if (a < 0).any():
         raise DimensionError("attention map has negative entries")
-    total = a.sum()
-    if total <= 0.0:
+    total = a.sum(axis=(-2, -1))
+    if (total <= 0.0).any():
         raise DegenerateMapError("attention map has zero total mass")
     rows = np.arange(n) // grid_width
     cols = np.arange(n) - grid_width * rows
-    d_row = float((a * np.abs(rows[None, :] - rows[:, None])).sum() / total)
-    d_col = float((a * np.abs(cols[None, :] - cols[:, None])).sum() / total)
+    d_row = (a * np.abs(rows[None, :] - rows[:, None])).sum(axis=(-2, -1)) / total
+    d_col = (a * np.abs(cols[None, :] - cols[:, None])).sum(axis=(-2, -1)) / total
+    if a.ndim == 2:
+        return float(d_row), float(d_col)
     return d_row, d_col
 
 
@@ -125,11 +142,8 @@ def distance_survey(model: ToyDiT, images: np.ndarray, schedule: NoiseSchedule, 
     records = []
     for layer, head, t in triples:
         maps = maps_by_t[t][layer]  # [B*nW, heads, wn, wn]
-        width = model.layer_configs[layer].window_spec.window_w
-        per_window = [attention_distance(maps.data[g, head], width) for g in range(maps.shape[0])]
-        d_row = float(np.mean([d[0] for d in per_window]))
-        d_col = float(np.mean([d[1] for d in per_window]))
-        records.append(SurveyRecord(layer, head, t, d_row, d_col))
+        d_row, d_col = attention_distance(maps.data[:, head], model.layer_configs[layer].window_spec.window_w)
+        records.append(SurveyRecord(layer, head, t, float(d_row.mean()), float(d_col.mean())))
     return records
 
 
@@ -152,69 +166,46 @@ def distance_histogram(values: Sequence[float], buckets: int = 16, lo: float = 0
 
 
 def write_distance_csv(path, rows) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["bucket_lo", "bucket_hi", "count"])
-        for lo, hi, count in rows:
-            w.writerow([repr(lo), repr(hi), count])
-    return path
+    return _write_csv(path, ["bucket_lo", "bucket_hi", "count"], [[repr(lo), repr(hi), n] for lo, hi, n in rows])
 
 
 # ---------------------------------------------------------------------------
 # radial spectrum
 # ---------------------------------------------------------------------------
 
-def _radial_bins(height: int, width: int):
-    fy = (np.arange(height) - height // 2) / height
-    fx = (np.arange(width) - width // 2) / width
-    r = np.sqrt(fy[:, None] ** 2 + fx[None, :] ** 2)
-    edges = np.linspace(0.0, np.sqrt(0.5), SPECTRUM_BINS + 1)
-    idx = np.clip(np.searchsorted(edges, r.reshape(-1), side="right") - 1, 0, SPECTRUM_BINS - 1)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    return idx, centers
-
-
-def radial_spectrum(feature_map) -> tuple:
-    """Radially binned log-magnitude spectrum of a single [H, W] map.
-
-    Returns (radii [16], profile [16]): bin centers in normalized
-    frequency and the mean log1p magnitude per annulus.
-    """
-    m = feature_map.data if isinstance(feature_map, Tensor) else np.asarray(feature_map, dtype=np.float64)
-    if m.ndim != 2:
-        raise DimensionError(f"radial_spectrum expects [H, W], got {m.shape}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
-        raise DimensionError("empty feature map")
-    mag = np.log1p(np.abs(np.fft.fftshift(np.fft.fft2(m))))
-    idx, centers = _radial_bins(*m.shape)
-    flat = mag.reshape(-1)
-    sums = np.bincount(idx, weights=flat, minlength=SPECTRUM_BINS)
-    counts = np.bincount(idx, minlength=SPECTRUM_BINS)
-    profile = np.divide(sums, counts, out=np.zeros(SPECTRUM_BINS), where=counts > 0)
-    return centers, profile
-
-
 def feature_spectrum(features) -> tuple:
-    """Average radial profile over batch/channel slices.
+    """Radially binned log-magnitude spectrum, averaged over 2-D slices.
 
-    Accepts [H, W], [H, W, C], or [B, H, W, C]; every 2-D slice is
-    profiled independently and the profiles are averaged.
+    Accepts [H, W], [H, W, C], or [B, H, W, C]; every [H, W] slice is
+    profiled independently and the profiles are averaged.  Returns
+    (radii [16], profile [16]): bin centers in normalized frequency and
+    the mean log1p magnitude per annulus.
     """
-    data = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
+    data = np.asarray(features.data if isinstance(features, Tensor) else features, dtype=np.float64)
     if data.ndim == 2:
         data = data[None, :, :, None]
     elif data.ndim == 3:
         data = data[None]
-    if data.ndim != 4:
-        raise DimensionError(f"feature_spectrum expects rank 2..4, got {data.shape}")
-    profiles = []
-    centers = None
-    for b in range(data.shape[0]):
-        for c in range(data.shape[3]):
-            centers, profile = radial_spectrum(data[b, :, :, c])
-            profiles.append(profile)
-    return centers, np.mean(profiles, axis=0)
+    if data.ndim != 4 or data.size == 0:
+        raise DimensionError(f"feature_spectrum expects a non-empty stack of rank 2..4, got {data.shape}")
+    if not np.isfinite(data).all():
+        raise NumericsError("feature_spectrum input has non-finite values")
+    batch, height, width, channels = data.shape
+    mag = np.log1p(np.abs(np.fft.fftshift(np.fft.fft2(data, axes=(1, 2)), axes=(1, 2))))
+    fy = (np.arange(height) - height // 2) / height
+    fx = (np.arange(width) - width // 2) / width
+    edges = np.linspace(0.0, np.sqrt(0.5), SPECTRUM_BINS + 1)
+    r = np.sqrt(fy[:, None] ** 2 + fx[None, :] ** 2)
+    idx = np.clip(np.searchsorted(edges, r, side="right") - 1, 0, SPECTRUM_BINS - 1)
+    # one (slice, bin) slot per slice b*C + c; bincount adds each slot's
+    # entries in row-major (h, w) order, as a per-slice bincount would
+    slices = batch * channels
+    slots = idx[None, :, :, None] + SPECTRUM_BINS * np.arange(slices).reshape(batch, 1, 1, channels)
+    sums = np.bincount(slots.ravel(), weights=mag.ravel(), minlength=slices * SPECTRUM_BINS)
+    sums = sums.reshape(slices, SPECTRUM_BINS)
+    counts = np.bincount(idx.ravel(), minlength=SPECTRUM_BINS)
+    profiles = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    return 0.5 * (edges[:-1] + edges[1:]), profiles.mean(axis=0)
 
 
 def hf_band_fraction(profile, outer_bins: int = SPECTRUM_BINS // 2) -> float:
@@ -229,13 +220,7 @@ def hf_band_fraction(profile, outer_bins: int = SPECTRUM_BINS // 2) -> float:
 
 
 def write_spectrum_csv(path, radii, profile) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["radius", "log_magnitude"])
-        for r, v in zip(radii, profile):
-            w.writerow([repr(float(r)), repr(float(v))])
-    return path
+    return _write_csv(path, ["radius", "log_magnitude"], [[repr(float(r)), repr(float(v))] for r, v in zip(radii, profile)])
 
 
 # ---------------------------------------------------------------------------
@@ -332,12 +317,5 @@ def measured_flops(model: ToyDiT, labels=None) -> int:
 
 
 def write_flops_csv(path, report: FlopsReport) -> Path:
-    path = Path(path)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# {report.conventions}\n")
-        w = csv.writer(fh)
-        w.writerow(["component", "flops", "params"])
-        for row in report.rows:
-            w.writerow([row.component, row.flops, row.params])
-        w.writerow(["total", report.total_flops, report.total_params])
-    return path
+    rows = [[r.component, r.flops, r.params] for r in report.rows] + [["total", report.total_flops, report.total_params]]
+    return _write_csv(path, ["component", "flops", "params"], rows, comment=report.conventions)

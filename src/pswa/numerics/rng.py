@@ -95,6 +95,8 @@ class Rng:
             raise ValueError("rng state words must be ints in [0, 2**64)")
         if len(state["path"]) > 1:
             raise ValueError(f"rng path holds at most one word, got {len(state['path'])}")
+        if ph["buffer_pos"] > 4 or ph["has_uint32"] > 1 or ph["uinteger"] >= 2**32:
+            raise ValueError("philox buffer_pos must be in [0, 4], has_uint32 in {0, 1}, uinteger below 2**32")
         rng = cls(state["seed"], tuple(state["path"]))
         bg_state = rng._gen.bit_generator.state
         bg_state["state"]["counter"] = np.array(ph["counter"], dtype=np.uint64)

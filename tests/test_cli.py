@@ -178,6 +178,20 @@ def test_diag_spectrum_from_tensor_file(tmp_path, capsys):
     assert profile[0] > 0 and (profile[1:] == 0).all()
 
 
+@pytest.mark.parametrize("features, code", [
+    pytest.param(np.zeros((0, 8, 8, 2)), 2, id="empty_stack"),
+    pytest.param(np.where(np.arange(64).reshape(8, 8) == 27, np.nan, 1.0), 1, id="one_nan"),
+    pytest.param(np.zeros((8, 8)), 1, id="all_zero"),
+])
+def test_diag_spectrum_refuses_bad_tensor(tmp_path, capsys, features, code):
+    blob = tmp_path / "bad.pswt"
+    dump_tensor(features, blob)
+    out = tmp_path / "spec"
+    assert main(["diag-spectrum", "--input", str(blob), "--out", str(out)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (out / "spectrum.csv").exists()
+
+
 def test_diag_spectrum_from_model(tiny_config, tmp_path):
     out = tmp_path / "spec"
     assert main(["diag-spectrum", "--config", str(tiny_config), "--out", str(out)]) == 0

@@ -14,15 +14,14 @@ from pswa.diagnostics import (
     flops_report,
     hf_band_fraction,
     measured_flops,
-    radial_spectrum,
     write_distance_csv,
     write_flops_csv,
     write_spectrum_csv,
 )
 from pswa.diffusion import NoiseSchedule
-from pswa.errors import ConfigurationError, DegenerateMapError, DimensionError
+from pswa.errors import ConfigurationError, DegenerateMapError, DimensionError, NumericsError
 from pswa.model import ToyDiT, ToyDiTConfig
-from pswa.numerics import Rng
+from pswa.numerics import Rng, Tensor, no_grad
 
 
 def tiny_cfg(**kw):
@@ -56,6 +55,14 @@ def test_distance_matches_brute(np_rng):
             got = attention_distance(a, width)
             want = brute_attention_distance(a, width)
             np.testing.assert_allclose(got, want, atol=1e-12)
+    # a [G, heads, N, N] stack gives every map's distances, bit-for-bit as one call per map
+    stack = np.exp(np_rng.normal(size=(5, 3, 16, 16)))
+    stack /= stack.sum(axis=-1, keepdims=True)
+    d_row, d_col = attention_distance(stack, 4)
+    assert d_row.shape == d_col.shape == (5, 3)
+    for g in range(5):
+        for h in range(3):
+            assert (d_row[g, h], d_col[g, h]) == attention_distance(stack[g, h], 4)
 
 
 def test_distance_exact_cases():
@@ -104,13 +111,13 @@ def test_radial_spectrum_matches_brute_dft(np_rng):
     edges = np.linspace(0.0, np.sqrt(0.5), SPECTRUM_BINS + 1)
     for h, w in [(4, 4), (8, 8), (5, 7), (6, 9)]:
         m = np_rng.normal(size=(h, w))
-        centers, profile = radial_spectrum(m)
+        centers, profile = feature_spectrum(m)
         np.testing.assert_allclose(centers, 0.5 * (edges[:-1] + edges[1:]), atol=1e-15)
         np.testing.assert_allclose(profile, brute_radial_profile(m, SPECTRUM_BINS), atol=1e-9)
 
 
 def test_constant_map_is_dc_only():
-    _, profile = radial_spectrum(np.full((8, 8), 3.0))
+    _, profile = feature_spectrum(np.full((8, 8), 3.0))
     assert profile[0] > 0.0
     np.testing.assert_array_equal(profile[1:], 0.0)
     assert hf_band_fraction(profile) == 0.0
@@ -119,7 +126,7 @@ def test_constant_map_is_dc_only():
 def test_checkerboard_is_pure_high_frequency():
     r, c = np.indices((8, 8))
     board = np.where((r + c) % 2 == 0, 1.0, -1.0)
-    _, profile = radial_spectrum(board)
+    _, profile = feature_spectrum(board)
     # a single peak at the corner frequency (1/2, 1/2), radius sqrt(.5)
     assert profile[-1] > 0.0
     np.testing.assert_array_equal(profile[:-1], 0.0)
@@ -135,10 +142,10 @@ def test_feature_spectrum_rank_handling(np_rng):
     np.testing.assert_array_equal(p3, p4)
     # multi-channel input averages the per-slice profiles
     a, b = np_rng.normal(size=(8, 8)), np_rng.normal(size=(8, 8))
-    _, pa = radial_spectrum(a)
-    _, pb = radial_spectrum(b)
+    _, pa = feature_spectrum(a)
+    _, pb = feature_spectrum(b)
     _, pab = feature_spectrum(np.stack([a, b], axis=-1))
-    np.testing.assert_allclose(pab, (pa + pb) / 2, atol=1e-12)
+    np.testing.assert_array_equal(pab, (pa + pb) / 2)
 
 
 def test_hf_band_fraction_validation():
@@ -150,9 +157,15 @@ def test_hf_band_fraction_validation():
 
 def test_spectrum_rejects_bad_rank(np_rng):
     with pytest.raises(DimensionError):
-        radial_spectrum(np_rng.normal(size=(4, 4, 2)))
-    with pytest.raises(DimensionError):
         feature_spectrum(np_rng.normal(size=(2, 2, 4, 4, 1)))
+    for empty in [np.zeros((0, 8, 8, 2)), np.zeros((2, 8, 8, 0)), np.zeros((8, 0))]:
+        with pytest.raises(DimensionError):
+            feature_spectrum(empty)
+    nan = np_rng.normal(size=(2, 8, 8, 3))
+    nan[1, 2, 3, 0] = np.nan
+    for bad in [nan, np.full((4, 4), np.inf)]:
+        with pytest.raises(NumericsError):
+            feature_spectrum(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +201,30 @@ def test_survey_skips_bridge_only_layers(np_rng):
     nowin = ToyDiT(tiny_cfg(fractions=(0.0, 0.0)), Rng(5))
     with pytest.raises(ConfigurationError):
         distance_survey(nowin, images, schedule, Rng(0), num_samples=4)
+
+
+def test_survey_and_spectrum_known_answers():
+    # recorded from the per-window / per-slice implementation on a seeded,
+    # perturbed tiny model (4x4 tokens, four 2x2 windows per image)
+    model = ToyDiT(tiny_cfg(patch=2), Rng(5))
+    noise = Rng(5).split("perturb")
+    model.load_state({n: p.data + noise.split(n).normal(p.shape, std=0.1) for n, p in model.named_parameters().items()})
+    images = Rng(7).normal((2, 1, 8, 8))
+    records = distance_survey(model, images, NoiseSchedule.linear(10), Rng(11), num_samples=6)
+    assert [(r.layer, r.head, r.timestep) for r in records] == [(1, 0, 4), (1, 1, 0), (1, 0, 6), (1, 1, 6), (0, 0, 0), (0, 0, 0)]
+    np.testing.assert_allclose([(r.d_row, r.d_col) for r in records], [
+        (0.5219799115899515, 0.5013566754114704),
+        (0.511059345613143, 0.5040765794445234),
+        (0.5223428750075831, 0.500417707303203),
+        (0.512686757859043, 0.5059422647485108),
+        (0.5243358349351044, 0.5090585057575516),
+        (0.5243358349351044, 0.5090585057575516),
+    ], rtol=1e-12, atol=0)
+    tokens: list = []
+    with no_grad():
+        model.forward(Tensor(images), np.full(2, 5, dtype=np.int64), collect_tokens=tokens)
+    hf = [hf_band_fraction(feature_spectrum(block)[1]) for block in tokens]
+    np.testing.assert_allclose(hf, [0.5267220167065831, 0.5079487218927585], rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +281,7 @@ def test_distance_csv_roundtrip(tmp_path):
 
 
 def test_spectrum_csv_roundtrip(tmp_path, np_rng):
-    centers, profile = radial_spectrum(np_rng.normal(size=(8, 8)))
+    centers, profile = feature_spectrum(np_rng.normal(size=(8, 8)))
     path = write_spectrum_csv(tmp_path / "spec.csv", centers, profile)
     with open(path, newline="") as fh:
         got = list(csv.reader(fh))

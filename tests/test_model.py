@@ -267,6 +267,8 @@ def _edited(edit):
     pytest.param(_edited(lambda d: d["rng"].update(seed=-1)), ConfigurationError, "rng is not", id="rng_seed_negative"),
     pytest.param(_edited(lambda d: d["rng"]["philox"].update(key=[1.5, 2])), ConfigurationError, "rng is not", id="rng_key_float"),
     pytest.param(_edited(lambda d: d["rng"].update(path=[1, 2, 3])), ConfigurationError, "rng is not", id="rng_path_long"),
+    pytest.param(_edited(lambda d: d["rng"]["philox"].update(buffer_pos=99)), ConfigurationError, "rng is not", id="rng_buffer_pos_99"),
+    pytest.param(_edited(lambda d: d["rng"]["philox"].update(has_uint32=7)), ConfigurationError, "rng is not", id="rng_has_uint32_7"),
     pytest.param(_edited(lambda d: d.update(params=["a"])), ConfigurationError, "params must", id="params_list"),
     pytest.param(_edited(lambda d: d["params"].update({"head.b": 3})), ConfigurationError, "params must", id="params_entry_int"),
 ])

@@ -191,12 +191,11 @@ def window_merge(windows, spec: WindowSpec, batch: int, height: int, width: int)
     return ops.reshape(t, (batch, height, width, c))
 
 
-def window_attention(x, params: AttentionParams, spec: WindowSpec, return_maps: bool = False):
+def window_attention(x, params: AttentionParams, spec: WindowSpec):
     """Self-attention inside non-overlapping windows of a [B,H,W,C] grid.
 
     Logits get the window's relative-position bias before the softmax.
-    With ``return_maps`` the per-window maps [B*nW, heads, wn, wn] come
-    back too.
+    Returns (out [B,H,W,C], maps [B*nW, heads, wn, wn]).
     """
     x = as_tensor(x)
     if spec.num_heads != params.num_heads:
@@ -204,5 +203,4 @@ def window_attention(x, params: AttentionParams, spec: WindowSpec, return_maps: 
     wins = window_partition(x, spec)
     b, h, w, _ = x.shape
     out, maps = _attend(wins, params, spec.bias_matrix())
-    merged = window_merge(out, spec, b, h, w)
-    return (merged, maps) if return_maps else merged
+    return window_merge(out, spec, b, h, w), maps

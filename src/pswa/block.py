@@ -129,31 +129,26 @@ def channel_split(x, cfg: PSWALayerConfig):
 
 
 def bridge_branch(x_bridge, params: BridgeParams) -> Tensor:
-    """Depthwise conv (odd kernel, zero padding) then pointwise mixing."""
-    x_bridge = as_tensor(x_bridge)
-    if x_bridge.ndim != 4:
-        raise DimensionError(f"bridge_branch expects [B,H,W,Cb], got {x_bridge.shape}")
-    nchw = ops.transpose(x_bridge, (0, 3, 1, 2))
-    y = ops.depthwise_conv2d(nchw, params.depthwise)
-    y = ops.pointwise_conv2d(y, params.pointwise_w, params.pointwise_b)
-    return ops.transpose(y, (0, 2, 3, 1))
+    """Depthwise conv (odd kernel, zero padding) then pointwise mixing,
+    both channels-last on the [B, H, W, Cb] grid."""
+    y = ops.depthwise_conv2d(x_bridge, params.depthwise)
+    return ops.pointwise_conv2d(y, params.pointwise_w, params.pointwise_b)
 
 
-def pswa_forward(x, cfg: PSWALayerConfig, return_maps: bool = False):
+def pswa_forward(x, cfg: PSWALayerConfig):
     """Run both branches on their channel slices and reassemble.
 
-    Output keeps the input layout: window-branch channels [0, h), bridge
-    channels [h, C).  With ``return_maps`` also yields the window-branch
-    attention maps ([B*nW, heads, wn, wn]; None when h == 0).
+    Returns (out, maps).  ``out`` keeps the input layout: window-branch
+    channels [0, h), bridge channels [h, C).  ``maps`` are the window
+    branch's attention maps [B*nW, heads, wn, wn], None when h == 0.
     """
     y_win, y_bridge = channel_split(x, cfg)
     maps = None
     if cfg.attn is not None:
-        y_win, maps = window_attention(y_win, cfg.attn, cfg.window_spec, return_maps=True)
+        y_win, maps = window_attention(y_win, cfg.attn, cfg.window_spec)
     if cfg.bridge is not None:
         y_bridge = bridge_branch(y_bridge, cfg.bridge)
-    out = ops.concat([y_win, y_bridge], axis=3)
-    return (out, maps) if return_maps else out
+    return ops.concat([y_win, y_bridge], axis=3), maps
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def attention_distance(maps, grid_width: int) -> tuple:
     ``maps`` is [..., N, N] and ``grid_width`` is the token-grid width the
     flat indices refer to.  Returns (d_row, d_col), each shaped like the
     leading axes of ``maps``: plain floats for a single map.  Every map
-    must be non-negative with nonzero mass.
+    must be finite and non-negative with nonzero mass.
     """
     a = np.asarray(maps.data if isinstance(maps, Tensor) else maps, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -78,6 +78,8 @@ def attention_distance(maps, grid_width: int) -> tuple:
     n = a.shape[-1]
     if grid_width < 1 or n % grid_width:
         raise ConfigurationError(f"token count {n} not divisible by grid width {grid_width}")
+    if not np.isfinite(a).all():
+        raise NumericsError("attention map has non-finite entries")
     if (a < 0).any():
         raise DimensionError("attention map has negative entries")
     total = a.sum(axis=(-2, -1))
@@ -147,19 +149,17 @@ def distance_survey(model: ToyDiT, images: np.ndarray, schedule: NoiseSchedule, 
     return records
 
 
-def distance_histogram(values: Sequence[float], buckets: int = 16, lo: float = 0.0, hi: Optional[float] = None) -> list:
-    """Equal-width histogram rows (bucket_lo, bucket_hi, count).
+def distance_histogram(values: Sequence[float], buckets: int = 16) -> list:
+    """Equal-width histogram rows (bucket_lo, bucket_hi, count) over [0, max].
 
-    The top edge is inclusive so the maximum lands in the last bucket.
+    The top edge is inclusive so the maximum lands in the last bucket;
+    without a positive maximum the range is [0, 1].
     """
     vals = np.asarray(list(values), dtype=np.float64)
     if buckets < 1:
         raise ConfigurationError("buckets must be >= 1")
-    if hi is None:
-        hi = float(vals.max()) if vals.size else 1.0
-    if hi <= lo:
-        hi = lo + 1.0
-    edges = np.linspace(lo, hi, buckets + 1)
+    hi = float(vals.max()) if vals.size else 0.0
+    edges = np.linspace(0.0, hi if hi > 0.0 else 1.0, buckets + 1)
     idx = np.clip(np.searchsorted(edges, vals, side="right") - 1, 0, buckets - 1)
     counts = np.bincount(idx, minlength=buckets)
     return [(float(edges[k]), float(edges[k + 1]), int(counts[k])) for k in range(buckets)]
@@ -208,8 +208,9 @@ def feature_spectrum(features) -> tuple:
     return 0.5 * (edges[:-1] + edges[1:]), profiles.mean(axis=0)
 
 
-def hf_band_fraction(profile, outer_bins: int = SPECTRUM_BINS // 2) -> float:
-    """Share of profile mass in the outermost ``outer_bins`` annuli."""
+def hf_band_fraction(profile) -> float:
+    """Share of profile mass in the outer half of the SPECTRUM_BINS annuli."""
+    outer_bins = SPECTRUM_BINS // 2
     p = np.asarray(profile, dtype=np.float64)
     if p.ndim != 1 or p.size < outer_bins:
         raise DimensionError(f"profile of {p.shape} too short for {outer_bins} outer bins")

@@ -88,15 +88,15 @@ class ToyDataset:
 
     Four families: vertical stripes, horizontal stripes, checkerboards,
     and axis-aligned rectangles on a flat background.  Everything is
-    drawn from a named RNG stream, so a (seed, size, shape) triple pins
-    the dataset exactly.
+    drawn from a named stream of ``rng`` (default ``Rng(0)``), so an
+    (rng, size, shape) triple pins the dataset exactly.
     """
 
-    def __init__(self, height: int = 16, width: int = 16, channels: int = 1, size: int = 256, rng: Optional[Rng] = None, seed: int = 0):
+    def __init__(self, height: int = 16, width: int = 16, channels: int = 1, size: int = 256, rng: Optional[Rng] = None):
         if height < 2 or width < 2 or channels < 1 or size < 1:
             raise ConfigurationError("dataset needs height/width >= 2, channels >= 1, size >= 1")
         self.height, self.width, self.channels, self.size = height, width, channels, size
-        rng = rng if rng is not None else Rng(seed)
+        rng = rng if rng is not None else Rng(0)
         gen = rng.split("toy-dataset")
         images = np.empty((size, channels, height, width), dtype=np.float64)
         for i in range(size):

@@ -73,10 +73,8 @@ def _case_softmax(rng: Rng):
 
 def _case_layernorm(rng: Rng):
     x = _t(rng, "x", (4, 6))
-    gamma = _t(rng, "g", (6,))
-    beta = _t(rng, "b", (6,))
     w = rng.split("w").normal((4, 6))
-    return (lambda x_, g_, b_: _weighted(ops.layernorm(x_, g_, b_), w)), [x, gamma, beta]
+    return (lambda x_: _weighted(ops.layernorm(x_), w)), [x]
 
 
 def _case_gelu(rng: Rng):
@@ -92,17 +90,17 @@ def _case_silu(rng: Rng):
 
 
 def _case_depthwise(rng: Rng):
-    x = _t(rng, "x", (2, 3, 5, 5))
+    x = _t(rng, "x", (2, 5, 5, 3))
     k = _t(rng, "k", (3, 3, 3))
-    w = rng.split("w").normal((2, 3, 5, 5))
+    w = rng.split("w").normal((2, 5, 5, 3))
     return (lambda x_, k_: _weighted(ops.depthwise_conv2d(x_, k_), w)), [x, k]
 
 
 def _case_pointwise(rng: Rng):
-    x = _t(rng, "x", (2, 3, 4, 4))
+    x = _t(rng, "x", (2, 4, 4, 3))
     wgt = _t(rng, "wgt", (5, 3))
     bias = _t(rng, "bias", (5,))
-    w = rng.split("w").normal((2, 5, 4, 4))
+    w = rng.split("w").normal((2, 4, 4, 5))
     return (lambda x_, w_, b_: _weighted(ops.pointwise_conv2d(x_, w_, b_), w)), [x, wgt, bias]
 
 
@@ -160,7 +158,8 @@ def _case_window_attention(rng: Rng):
     w = rng.split("w").normal((1, 4, 4, 6))
 
     def fn(x_, *_):
-        return _weighted(attention.window_attention(x_, params, spec), w)
+        y, _maps = attention.window_attention(x_, params, spec)
+        return _weighted(y, w)
 
     return fn, [x, spec.bias_table, *params.parameters().values()]
 
@@ -176,7 +175,8 @@ def _case_pswa_mixed(rng: Rng):
     w = rng.split("w").normal((1, 4, 4, 8))
 
     def fn(x_, *_):
-        return _weighted(block.pswa_forward(x_, cfg), w)
+        y, _maps = block.pswa_forward(x_, cfg)
+        return _weighted(y, w)
 
     return fn, [x, *cfg.parameters().values()]
 
@@ -188,7 +188,8 @@ def _case_bridge_only(rng: Rng):
     w = rng.split("w").normal((2, 2, 4, 6))
 
     def fn(x_, *_):
-        return _weighted(block.pswa_forward(x_, cfg), w)
+        y, _maps = block.pswa_forward(x_, cfg)
+        return _weighted(y, w)
 
     return fn, [x, *cfg.parameters().values()]
 
@@ -232,7 +233,8 @@ def _case_block_forward(rng: Rng):
     w = rng.split("w").normal((2, 2, 2, 8), std=2e-3)
 
     def fn(*_):
-        return _weighted(model.block_forward(x, cond, blk, layer_cfg), w)
+        y, _maps = model.block_forward(x, cond, blk, layer_cfg)
+        return _weighted(y, w)
 
     return fn, [x, cond, *layer_cfg.parameters().values(), *blk.parameters().values()]
 

@@ -200,12 +200,13 @@ def _modulate(x: Tensor, shift: Tensor, scl: Tensor) -> Tensor:
     return ops.add(ops.mul(x, ops.add(scl, 1.0)), shift)
 
 
-def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig, return_maps: bool = False):
+def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig):
     """Pre-norm residual block: modulated mixing stage, then modulated MLP.
 
     x: [B, gh, gw, C] tokens; cond: [B, C] conditioning vector.  The six
     modulation signals (shift/scale/gate twice) come from a zero-init
     projection of cond, so a fresh block passes x through unchanged.
+    Returns (out, maps), ``maps`` being the mixing stage's attention maps.
     """
     x = as_tensor(x)
     b, gh, gw, c = x.shape
@@ -220,7 +221,7 @@ def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig, return_map
     )
 
     h = _modulate(ops.layernorm(x), sh1, sc1)
-    h, maps = pswa_forward(h, cfg, return_maps=True)
+    h, maps = pswa_forward(h, cfg)
     x = ops.add(x, ops.mul(g1, h))
 
     h = _modulate(ops.layernorm(x), sh2, sc2)
@@ -229,7 +230,7 @@ def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig, return_map
     out = ops.add(ops.matmul(hidden, params.mlp_w2), params.mlp_b2)
     h = ops.reshape(out, (b, gh, gw, c))
     x = ops.add(x, ops.mul(g2, h))
-    return (x, maps) if return_maps else x
+    return x, maps
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +355,7 @@ class ToyDiT:
         cond = self.condition(t, b, labels)
         tokens = patchify(x, cfg.patch, self.patch_w, self.patch_b)
         for blk, layer_cfg in zip(self.blocks, self.layer_configs):
-            tokens, maps = block_forward(tokens, cond, blk, layer_cfg, return_maps=True)
+            tokens, maps = block_forward(tokens, cond, blk, layer_cfg)
             if collect_maps is not None:
                 collect_maps.append(maps)
             if collect_tokens is not None:

@@ -8,14 +8,14 @@ are recorded for them at all.
 
 Layout conventions used throughout the package:
   * token matrices are [..., N, C] with C last,
-  * images/feature maps for the conv kernels are [B, C, H, W],
+  * token grids, which the conv kernels read and write, are [B, H, W, C],
   * softmax/normalization act on the last axis.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -145,44 +145,28 @@ def softmax_rows(x) -> Tensor:
     return _result(y, "softmax_rows", (x,), backward)
 
 
-def layernorm(x, gamma: Optional[Tensor] = None, beta: Optional[Tensor] = None, eps: float = 1e-6) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine.
+LAYERNORM_EPS = 1e-6
 
-    gamma/beta are optional [C] parameters; omitting both gives the
-    plain normalized features (the form block modulation expects).
+
+def layernorm(x) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance.
+
+    There is no learned affine: block modulation supplies the scale and
+    shift after the norm.
     """
     x = as_tensor(x)
-    c = x.data.shape[-1]
-    for name, p in (("gamma", gamma), ("beta", beta)):
-        if p is not None and p.data.shape != (c,):
-            raise DimensionError(f"layernorm {name} shape {p.data.shape} != ({c},)")
     mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
     xhat = xc * inv
-    y = xhat
-    if gamma is not None:
-        y = y * gamma.data
-    if beta is not None:
-        y = y + beta.data
-
-    parents = [x] + [p for p in (gamma, beta) if p is not None]
 
     def backward(g):
-        gx = g * gamma.data if gamma is not None else g
-        mean_g = gx.mean(axis=-1, keepdims=True)
-        mean_gx = (gx * xhat).mean(axis=-1, keepdims=True)
-        dx = inv * (gx - mean_g - xhat * mean_gx)
-        out = [dx]
-        lead = tuple(range(g.ndim - 1))
-        if gamma is not None:
-            out.append((g * xhat).sum(axis=lead))
-        if beta is not None:
-            out.append(g.sum(axis=lead))
-        return tuple(out)
+        mean_g = g.mean(axis=-1, keepdims=True)
+        mean_gx = (g * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (g - mean_g - xhat * mean_gx),)
 
-    return _result(y, "layernorm", parents, backward)
+    return _result(xhat, "layernorm", (x,), backward)
 
 
 def gelu(x) -> Tensor:
@@ -214,21 +198,21 @@ def silu(x) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolutions (NCHW)
+# convolutions
 # ---------------------------------------------------------------------------
 
 def depthwise_conv2d(x, kernels) -> Tensor:
     """Per-channel 2-D correlation with same-size zero padding.
 
-    x: [B, C, H, W]; kernels: [C, k, k] with k odd.  A k=1 unit kernel
+    x: [B, H, W, C]; kernels: [C, k, k] with k odd.  A k=1 unit kernel
     reproduces the input bit for bit.
     """
     x, kernels = as_tensor(x), as_tensor(kernels)
     if x.data.ndim != 4:
-        raise DimensionError(f"depthwise_conv2d expects [B,C,H,W], got {x.data.shape}")
+        raise DimensionError(f"depthwise_conv2d expects [B,H,W,C], got {x.data.shape}")
     if kernels.data.ndim != 3 or kernels.data.shape[1] != kernels.data.shape[2]:
         raise DimensionError(f"kernels must be [C,k,k], got {kernels.data.shape}")
-    b, c, h, w = x.data.shape
+    b, h, w, c = x.data.shape
     if kernels.data.shape[0] != c:
         raise DimensionError(f"kernel channel count {kernels.data.shape[0]} != input channels {c}")
     k = kernels.data.shape[1]
@@ -236,54 +220,48 @@ def depthwise_conv2d(x, kernels) -> Tensor:
         raise ConfigurationError(f"depthwise kernel size must be odd, got {k}")
     p = k // 2
 
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p)))
+    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0)))
     out = np.zeros_like(x.data)
     for u in range(k):
         for v in range(k):
-            out += xp[:, :, u : u + h, v : v + w] * kernels.data[:, u, v][None, :, None, None]
+            out += xp[:, u : u + h, v : v + w] * kernels.data[:, u, v]
     _flops.record("depthwise_conv2d", 2 * b * c * h * w * k * k)
 
     def backward(g):
-        gp = np.pad(g, ((0, 0), (0, 0), (p, p), (p, p)))
+        gp = np.pad(g, ((0, 0), (p, p), (p, p), (0, 0)))
         dx = np.zeros_like(x.data)
         dk = np.zeros_like(kernels.data)
         for u in range(k):
             for v in range(k):
                 # dx: correlation of g with the 180-degree rotated kernel
-                dx += gp[:, :, u : u + h, v : v + w] * kernels.data[:, k - 1 - u, k - 1 - v][None, :, None, None]
-                dk[:, u, v] = (g * xp[:, :, u : u + h, v : v + w]).sum(axis=(0, 2, 3))
+                dx += gp[:, u : u + h, v : v + w] * kernels.data[:, k - 1 - u, k - 1 - v]
+                dk[:, u, v] = (g * xp[:, u : u + h, v : v + w]).sum(axis=(0, 1, 2))
         return dx, dk
 
     return _result(out, "depthwise_conv2d", (x, kernels), backward)
 
 
-def pointwise_conv2d(x, weight, bias=None) -> Tensor:
-    """1x1 convolution mixing channels: [B,Cin,H,W] x [Cout,Cin] -> [B,Cout,H,W]."""
-    x, weight = as_tensor(x), as_tensor(weight)
+def pointwise_conv2d(x, weight, bias) -> Tensor:
+    """1x1 convolution mixing channels: [B,H,W,Cin] x [Cout,Cin] + [Cout] -> [B,H,W,Cout]."""
+    x, weight, bias = as_tensor(x), as_tensor(weight), as_tensor(bias)
     if x.data.ndim != 4:
-        raise DimensionError(f"pointwise_conv2d expects [B,C,H,W], got {x.data.shape}")
-    if weight.data.ndim != 2 or weight.data.shape[1] != x.data.shape[1]:
-        raise DimensionError(f"weight {weight.data.shape} incompatible with input channels {x.data.shape[1]}")
-    b, cin, h, w = x.data.shape
+        raise DimensionError(f"pointwise_conv2d expects [B,H,W,C], got {x.data.shape}")
+    b, h, w, cin = x.data.shape
+    if weight.data.ndim != 2 or weight.data.shape[1] != cin:
+        raise DimensionError(f"weight {weight.data.shape} incompatible with input channels {cin}")
     cout = weight.data.shape[0]
-    out = np.einsum("oi,bihw->bohw", weight.data, x.data)
+    if bias.data.shape != (cout,):
+        raise DimensionError(f"bias shape {bias.data.shape} != ({cout},)")
+    rows = x.data.reshape(-1, cin)  # one row per pixel
+    out = (rows @ weight.data.T + bias.data).reshape(b, h, w, cout)
     _flops.record("pointwise_conv2d", 2 * b * h * w * cout * cin)
-    if bias is not None:
-        bias = as_tensor(bias)
-        if bias.data.shape != (cout,):
-            raise DimensionError(f"bias shape {bias.data.shape} != ({cout},)")
-        out = out + bias.data[None, :, None, None]
-
-    parents = [x, weight] + ([bias] if bias is not None else [])
 
     def backward(g):
-        dx = np.einsum("oi,bohw->bihw", weight.data, g)
-        dw = np.einsum("bohw,bihw->oi", g, x.data)
-        if bias is not None:
-            return dx, dw, g.sum(axis=(0, 2, 3))
-        return dx, dw
+        g_rows = g.reshape(-1, cout)
+        dx = (g_rows @ weight.data).reshape(x.data.shape)
+        return dx, g_rows.T @ rows, g_rows.sum(axis=0)
 
-    return _result(out, "pointwise_conv2d", parents, backward)
+    return _result(out, "pointwise_conv2d", (x, weight, bias), backward)
 
 
 # ---------------------------------------------------------------------------

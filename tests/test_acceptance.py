@@ -63,7 +63,7 @@ def test_window_attention_matches_masked_oracle():
                 params = AttentionParams.create(channels, heads, Rng(1000 * instances + rep))
                 spec = WindowSpec.create(wh, ww, heads)  # bias table all zero
                 x = gen.normal(size=(2, h, w, channels))
-                fast = window_attention(Tensor(x), params, spec)
+                fast, _ = window_attention(Tensor(x), params, spec)
                 mask = block_window_mask(h, w, wh, ww)
                 slow = masked_full_attention_oracle(x.reshape(2, h * w, channels), params, mask)
                 err = np.abs(fast.data.reshape(2, h * w, channels) - slow).max()
@@ -110,7 +110,7 @@ def test_attention_distance_oracle_and_window_bound():
         params = AttentionParams.create(4, 2, Rng(wh * 10 + ww))
         spec = WindowSpec.create(wh, ww, 2)
         x = Tensor(gen.normal(size=(2, h, w, 4)))
-        _, maps = window_attention(x, params, spec, return_maps=True)
+        _, maps = window_attention(x, params, spec)
         for g in range(maps.shape[0]):
             for head in range(maps.shape[1]):
                 d_row, d_col = attention_distance(maps.data[g, head], ww)

@@ -111,7 +111,7 @@ def test_window_attention_equals_masked_oracle_with_bias(np_rng):
         params = make_params(c, heads, seed=h * w + c)
         spec = make_spec(wh, ww, heads, seed=17 * wh + ww)
         x = np_rng.normal(size=(2, h, w, c))
-        fast = window_attention(Tensor(x), params, spec)
+        fast, _ = window_attention(Tensor(x), params, spec)
 
         mask = block_window_mask(h, w, wh, ww)
         bias_full = expand_window_bias(spec.bias_matrix().data, h, w, wh, ww)
@@ -124,8 +124,8 @@ def test_window_attention_bias_changes_output(np_rng):
     x = Tensor(np_rng.normal(size=(1, 4, 4, 4)))
     zero_spec = WindowSpec.create(2, 2, num_heads=2)
     biased_spec = make_spec(2, 2, 2, seed=5)
-    a = window_attention(x, params, zero_spec).data
-    b = window_attention(x, params, biased_spec).data
+    a = window_attention(x, params, zero_spec)[0].data
+    b = window_attention(x, params, biased_spec)[0].data
     assert np.abs(a - b).max() > 1e-6
 
 
@@ -133,7 +133,7 @@ def test_one_by_one_windows_attend_to_self_only(np_rng):
     params = make_params(4, 1, seed=9)
     spec = WindowSpec.create(1, 1, num_heads=1)
     x = Tensor(np_rng.normal(size=(1, 3, 3, 4)))
-    out, maps = window_attention(x, params, spec, return_maps=True)
+    out, maps = window_attention(x, params, spec)
     np.testing.assert_array_equal(maps.data, np.ones((9, 1, 1, 1)))
     # each token's output is v(x) @ w_o of itself
     flat = x.data.reshape(9, 4)

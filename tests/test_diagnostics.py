@@ -89,10 +89,16 @@ def test_distance_input_validation():
         attention_distance(np.full((4, 4), -0.25), 2)
     with pytest.raises(DegenerateMapError):
         attention_distance(np.zeros((4, 4)), 2)
+    with pytest.raises(NumericsError):
+        attention_distance(np.full((4, 4), np.nan), 2)
+    one_inf = np.full((4, 4), 0.25)
+    one_inf[1, 2] = np.inf
+    with pytest.raises(NumericsError):
+        attention_distance(one_inf, 2)
 
 
 def test_distance_histogram_edges():
-    rows = distance_histogram([0.0, 0.5, 1.0, 1.0, 2.0], buckets=2, lo=0.0, hi=2.0)
+    rows = distance_histogram([0.0, 0.5, 1.0, 1.0, 2.0], buckets=2)
     assert len(rows) == 2
     (lo0, hi0, n0), (lo1, hi1, n1) = rows
     assert (lo0, hi0) == (0.0, 1.0) and (lo1, hi1) == (1.0, 2.0)
@@ -152,7 +158,7 @@ def test_hf_band_fraction_validation():
     with pytest.raises(DegenerateMapError):
         hf_band_fraction(np.zeros(SPECTRUM_BINS))
     with pytest.raises(DimensionError):
-        hf_band_fraction(np.ones(4), outer_bins=8)
+        hf_band_fraction(np.ones(4))
 
 
 def test_spectrum_rejects_bad_rank(np_rng):
@@ -271,7 +277,7 @@ def test_pair_flops_ratio_is_token_over_window():
 # ---------------------------------------------------------------------------
 
 def test_distance_csv_roundtrip(tmp_path):
-    rows = distance_histogram([0.1, 0.4, 0.9], buckets=3, lo=0.0, hi=0.9)
+    rows = distance_histogram([0.1, 0.4, 0.9], buckets=3)
     path = write_distance_csv(tmp_path / "hist.csv", rows)
     with open(path, newline="") as fh:
         got = list(csv.reader(fh))

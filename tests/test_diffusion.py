@@ -37,7 +37,7 @@ def tiny_cfg(**kw):
 
 def tiny_setup(seed=0, **kw):
     model = ToyDiT(tiny_cfg(**kw), Rng(seed))
-    dataset = ToyDataset(8, 8, 1, size=32, seed=seed + 1)
+    dataset = ToyDataset(8, 8, 1, size=32, rng=Rng(seed + 1))
     schedule = NoiseSchedule.linear(10)
     return model, dataset, schedule
 
@@ -104,9 +104,9 @@ def test_q_sample_validation(np_rng):
 # ---------------------------------------------------------------------------
 
 def test_dataset_determinism_and_range():
-    a = ToyDataset(8, 8, 1, size=16, seed=3)
-    b = ToyDataset(8, 8, 1, size=16, seed=3)
-    c = ToyDataset(8, 8, 1, size=16, seed=4)
+    a = ToyDataset(8, 8, 1, size=16, rng=Rng(3))
+    b = ToyDataset(8, 8, 1, size=16, rng=Rng(3))
+    c = ToyDataset(8, 8, 1, size=16, rng=Rng(4))
     np.testing.assert_array_equal(a.images, b.images)
     assert (a.images != c.images).any()
     assert a.images.shape == (16, 1, 8, 8)
@@ -119,7 +119,7 @@ def test_dataset_determinism_and_range():
 
 
 def test_dataset_batch_is_stream_deterministic():
-    ds = ToyDataset(8, 8, 1, size=16, seed=0)
+    ds = ToyDataset(8, 8, 1, size=16, rng=Rng(0))
     x = ds.batch(Rng(5), 6)
     y = ds.batch(Rng(5), 6)
     np.testing.assert_array_equal(x, y)

@@ -110,7 +110,7 @@ def test_fresh_block_is_identity(np_rng):
     model = ToyDiT(tiny_cfg(), Rng(3))
     tokens = Tensor(np_rng.normal(size=(2, 2, 2, 8)))
     cond = Tensor(np_rng.normal(size=(2, 8)))
-    out = block_forward(tokens, cond, model.blocks[0], model.layer_configs[0])
+    out, _ = block_forward(tokens, cond, model.blocks[0], model.layer_configs[0])
     np.testing.assert_array_equal(out.data, tokens.data)
 
 

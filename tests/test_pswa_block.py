@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import brute_neighborhood, brute_similarity
+from oracles import brute_depthwise_conv, brute_neighborhood, brute_similarity
 
 from pswa.attention import AttentionParams, WindowSpec, window_attention
 from pswa.block import (
@@ -50,11 +50,11 @@ def test_pswa_forward_is_composition_of_branches(np_rng):
     cfg = layer_cfg(c, h, heads=2)
     x = Tensor(np_rng.normal(size=(2, 4, 4, c)))
 
-    out, maps = pswa_forward(x, cfg, return_maps=True)
+    out, maps = pswa_forward(x, cfg)
 
     x_win = Tensor(x.data[..., :h].copy())
     x_bridge = Tensor(x.data[..., h:].copy())
-    want_win = window_attention(x_win, cfg.attn, cfg.window_spec)
+    want_win, _ = window_attention(x_win, cfg.attn, cfg.window_spec)
     want_bridge = bridge_branch(x_bridge, cfg.bridge)
     np.testing.assert_array_equal(out.data[..., :h], want_win.data)
     np.testing.assert_array_equal(out.data[..., h:], want_bridge.data)
@@ -65,8 +65,8 @@ def test_pswa_forward_all_window(np_rng):
     cfg = layer_cfg(4, 4, heads=2)
     assert cfg.bridge is None
     x = Tensor(np_rng.normal(size=(1, 4, 4, 4)))
-    out = pswa_forward(x, cfg)
-    want = window_attention(x, cfg.attn, cfg.window_spec)
+    out, _ = pswa_forward(x, cfg)
+    want, _ = window_attention(x, cfg.attn, cfg.window_spec)
     np.testing.assert_array_equal(out.data, want.data)
 
 
@@ -74,7 +74,7 @@ def test_pswa_forward_all_bridge(np_rng):
     cfg = layer_cfg(4, 0, order=3)
     assert cfg.attn is None and cfg.window_spec is None
     x = Tensor(np_rng.normal(size=(1, 6, 6, 4)))
-    out, maps = pswa_forward(x, cfg, return_maps=True)
+    out, maps = pswa_forward(x, cfg)
     assert maps is None
     want = bridge_branch(x, cfg.bridge)
     np.testing.assert_array_equal(out.data, want.data)
@@ -118,6 +118,21 @@ def test_bridge_identity_configuration(np_rng):
     x = np_rng.normal(size=(2, 4, 5, c))
     out = bridge_branch(Tensor(x), params)
     np.testing.assert_allclose(out.data, x, atol=1e-12)
+
+
+def test_bridge_matches_brute_loops(np_rng):
+    # random depthwise, pointwise and bias weights against explicit loops
+    for c, k in [(3, 3), (8, 5), (1, 1)]:
+        dw, pw, bias = np_rng.normal(size=(c, k, k)), np_rng.normal(size=(c, c)), np_rng.normal(size=c)
+        x = np_rng.normal(size=(2, 5, 6, c))
+        out = bridge_branch(Tensor(x), BridgeParams(Tensor(dw), Tensor(pw), Tensor(bias))).data
+        mid = brute_depthwise_conv(x.transpose(0, 3, 1, 2), dw).transpose(0, 2, 3, 1)
+        want = np.zeros_like(x)
+        for o in range(c):
+            for i in range(c):
+                want[..., o] += pw[o, i] * mid[..., i]
+            want[..., o] += bias[o]
+        np.testing.assert_allclose(out, want, atol=1e-12)
 
 
 def test_layer_config_validation():

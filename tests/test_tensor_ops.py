@@ -144,15 +144,6 @@ def test_layernorm_moments(np_rng):
     np.testing.assert_allclose(y.var(axis=-1), 1, atol=1e-5)  # eps-limited
 
 
-def test_layernorm_affine_applies_after_normalization(np_rng):
-    x = np_rng.normal(size=(3, 4))
-    gamma = Tensor(np.array([2.0, 2.0, 2.0, 2.0]))
-    beta = Tensor(np.array([1.0, 1.0, 1.0, 1.0]))
-    plain = ops.layernorm(Tensor(x)).data
-    affine = ops.layernorm(Tensor(x), gamma, beta).data
-    np.testing.assert_allclose(affine, plain * 2 + 1, atol=1e-15)
-
-
 def test_gelu_silu_fixed_points():
     x = Tensor([0.0])
     assert ops.gelu(x).data[0] == 0.0
@@ -164,7 +155,7 @@ def test_gelu_silu_fixed_points():
 
 
 def test_depthwise_unit_kernel_is_bitexact_identity(np_rng):
-    x = np_rng.normal(size=(2, 4, 5, 6))
+    x = np_rng.normal(size=(2, 5, 6, 4))
     k = np.ones((4, 1, 1))
     out = ops.depthwise_conv2d(Tensor(x), Tensor(k))
     assert (out.data == x).all()
@@ -174,31 +165,31 @@ def test_depthwise_matches_brute_loops(np_rng):
     from oracles import brute_depthwise_conv
 
     for k in (1, 3, 5):
-        x = np_rng.normal(size=(2, 3, 6, 7))
+        x = np_rng.normal(size=(2, 6, 7, 3))
         kernels = np_rng.normal(size=(3, k, k))
         fast = ops.depthwise_conv2d(Tensor(x), Tensor(kernels)).data
-        slow = brute_depthwise_conv(x, kernels)
+        slow = brute_depthwise_conv(x.transpose(0, 3, 1, 2), kernels).transpose(0, 2, 3, 1)
         np.testing.assert_allclose(fast, slow, atol=1e-12)
 
 
 def test_depthwise_rejects_even_kernel(np_rng):
     from pswa.errors import ConfigurationError
 
-    x = Tensor(np.ones((1, 2, 4, 4)))
+    x = Tensor(np.ones((1, 4, 4, 2)))
     with pytest.raises(ConfigurationError):
         ops.depthwise_conv2d(x, Tensor(np.ones((2, 2, 2))))
 
 
 def test_pointwise_matches_loop(np_rng):
-    x = np_rng.normal(size=(2, 3, 4, 4))
+    x = np_rng.normal(size=(2, 4, 4, 3))
     w = np_rng.normal(size=(5, 3))
     b = np_rng.normal(size=5)
     out = ops.pointwise_conv2d(Tensor(x), Tensor(w), Tensor(b)).data
-    ref = np.zeros((2, 5, 4, 4))
+    ref = np.zeros((2, 4, 4, 5))
     for o in range(5):
         for i in range(3):
-            ref[:, o] += w[o, i] * x[:, i]
-        ref[:, o] += b[o]
+            ref[..., o] += w[o, i] * x[..., i]
+        ref[..., o] += b[o]
     np.testing.assert_allclose(out, ref, atol=1e-12)
 
 
@@ -248,11 +239,11 @@ def test_gradcheck_core_ops(seed):
     checks = [
         case(ops.matmul, (3, 5), (3, 4), (4, 5)),
         case(ops.softmax_rows, (2, 6), (2, 6)),
-        case(ops.layernorm, (3, 5), (3, 5), (5,), (5,)),
+        case(ops.layernorm, (3, 5), (3, 5)),
         case(ops.gelu, (4, 3), (4, 3)),
         case(ops.silu, (4, 3), (4, 3)),
-        case(ops.depthwise_conv2d, (1, 2, 4, 4), (1, 2, 4, 4), (2, 3, 3)),
-        case(ops.pointwise_conv2d, (1, 3, 3, 3), (1, 2, 3, 3), (3, 2), (3,)),
+        case(ops.depthwise_conv2d, (1, 4, 4, 2), (1, 4, 4, 2), (2, 3, 3)),
+        case(ops.pointwise_conv2d, (1, 3, 3, 3), (1, 3, 3, 2), (3, 2), (3,)),
     ]
     for fn, inputs in checks:
         report = gradcheck(fn, inputs)
@@ -385,10 +376,10 @@ def test_flop_counter_matmul_exact():
 
 
 def test_flop_counter_convs():
-    x = Tensor(np.ones((1, 2, 4, 4)))
+    x = Tensor(np.ones((1, 4, 4, 2)))
     with count_flops() as counter:
         ops.depthwise_conv2d(x, Tensor(np.ones((2, 3, 3))))
-        ops.pointwise_conv2d(x, Tensor(np.ones((5, 2))))
+        ops.pointwise_conv2d(x, Tensor(np.ones((5, 2))), Tensor(np.zeros(5)))
     assert counter.by_op["depthwise_conv2d"] == 2 * 1 * 2 * 4 * 4 * 9
     assert counter.by_op["pointwise_conv2d"] == 2 * 1 * 4 * 4 * 5 * 2
 

@@ -19,14 +19,11 @@ from .attention import (
 )
 from .block import (
     BridgeParams,
-    NeighborhoodK,
     PCCASchedule,
     PSWALayerConfig,
-    aggregate_neighborhood,
     bridge_branch,
     channel_split,
     coverage_schedule,
-    kth_neighborhood,
     kth_order_similarity,
     pswa_forward,
 )
@@ -61,7 +58,6 @@ from .errors import (
     DomainError,
     NumericsError,
     PSWAError,
-    UndefinedRowError,
     UsageError,
 )
 from .model import (

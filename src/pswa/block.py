@@ -16,13 +16,13 @@ layers keep most channels on the local conv branch, late layers hand
 them to attention.  The schedule value K (the "order") also sizes the
 bridge kernel, which the model builds with side 2K - 1: after one
 block, a channel routed through the bridge has mixed a Chebyshev-(K-1)
-neighborhood, which is exactly the neighborhood the order-K similarity
-below is defined on.
+neighborhood, the order-K neighborhood.
 
 `kth_order_similarity` is the scoring rule this layout approximates:
 instead of comparing single tokens q_i . k_j, compare alpha-weighted
-aggregations of the order-K neighborhoods around i and j.  Order 1
-recovers the plain pairwise logit.
+aggregations of the order-K neighborhoods around i and j, each one the
+bridge's depthwise correlation read at i or j.  Order 1 recovers the
+plain pairwise logit.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from .attention import AttentionParams, WindowSpec, window_attention
 from .errors import ConfigurationError, DimensionError, DomainError
-from .numerics import Rng, Tensor, as_tensor, ops
+from .numerics import Rng, Tensor, as_tensor, no_grad, ops
 
 
 # ---------------------------------------------------------------------------
@@ -256,71 +256,8 @@ def coverage_schedule(
 
 
 # ---------------------------------------------------------------------------
-# order-K neighborhoods and similarity
+# order-K similarity
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NeighborhoodK:
-    """Grid positions within Chebyshev distance K-1 of a center."""
-
-    center: tuple
-    order: int
-    members: tuple  # ((row, col), ...) in row-major order, clipped to the grid
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def kth_neighborhood(center, order: int, extents) -> NeighborhoodK:
-    """Order-K neighborhood of ``center`` on an H x W grid.
-
-    Covers the square of side 2K - 1 centered there, intersected with
-    the grid; order 1 is the center alone.  Off-grid centers raise.
-    """
-    if order < 1:
-        raise ConfigurationError(f"order must be >= 1, got {order}")
-    height, width = int(extents[0]), int(extents[1])
-    r, c = int(center[0]), int(center[1])
-    if not (0 <= r < height and 0 <= c < width):
-        raise DomainError(f"center {(r, c)} outside grid {height}x{width}")
-    reach = order - 1
-    members = tuple(
-        (rr, cc)
-        for rr in range(max(0, r - reach), min(height - 1, r + reach) + 1)
-        for cc in range(max(0, c - reach), min(width - 1, c + reach) + 1)
-    )
-    return NeighborhoodK((r, c), order, members)
-
-
-def aggregate_neighborhood(features, center, order: int, alpha: np.ndarray) -> np.ndarray:
-    """Alpha-weighted sum of features over an order-K neighborhood.
-
-    features: [H, W, C] (Tensor or array).  alpha: [2K-1, 2K-1] stencil
-    shared across channels, or [C, 2K-1, 2K-1] per channel, indexed by
-    offset from the neighborhood's top-left corner.  Positions falling
-    off the grid contribute zero, matching the conv padding.
-    """
-    data = features.data if isinstance(features, Tensor) else np.asarray(features, dtype=np.float64)
-    if data.ndim != 3:
-        raise DimensionError(f"features must be [H, W, C], got {data.shape}")
-    height, width, channels = data.shape
-    side = 2 * order - 1
-    alpha = np.asarray(alpha, dtype=np.float64)
-    if alpha.shape not in ((side, side), (channels, side, side)):
-        raise DimensionError(
-            f"alpha shape {alpha.shape} does not match neighborhood side {side} (expect [{side},{side}] or [C,{side},{side}])"
-        )
-    hood = kth_neighborhood(center, order, (height, width))
-    r, c = hood.center
-    reach = order - 1
-    acc = np.zeros(channels, dtype=np.float64)
-    for rr, cc in hood.members:
-        u, v = rr - r + reach, cc - c + reach
-        weight = alpha[..., u, v]  # scalar or [C]
-        acc += weight * data[rr, cc]
-    return acc
-
 
 def kth_order_similarity(
     features,
@@ -333,16 +270,42 @@ def kth_order_similarity(
 ) -> float:
     """Inner product of alpha-aggregated order-K neighborhoods at i and j.
 
-    The query side aggregates ``features`` around grid position i; the
-    key side aggregates ``psi_features`` (default: the same map) around
-    j, with the same stencil.  ``channels=(lo, hi)`` restricts the inner
-    product to that channel slice, e.g. the slice a schedule migrates
-    between two layers.  With order=1 and a unit stencil this is exactly
-    the pairwise logit: feed the query map and key map and the result is
-    q_i . k_j.
+    Each side's aggregation is `ops.depthwise_conv2d` with ``alpha`` as
+    kernel, read at one grid position: alpha is a [2K-1, 2K-1] stencil
+    shared across channels or [C, 2K-1, 2K-1] per channel, and positions
+    off the grid contribute zero, as in the bridge's padding.
+
+    The query side aggregates ``features`` ([H, W, C], Tensor or array)
+    around grid position i; the key side aggregates ``psi_features``
+    (default: the same map) around j, with the same stencil.
+    ``channels=(lo, hi)`` restricts the inner product to that channel
+    slice, e.g. the slice a schedule migrates between two layers.  With
+    order=1 and a unit stencil this is exactly the pairwise logit: feed
+    the query map and key map and the result is q_i . k_j.
     """
-    phi = aggregate_neighborhood(features, i, order, alpha)
-    psi = aggregate_neighborhood(psi_features if psi_features is not None else features, j, order, alpha)
+    if order < 1:
+        raise ConfigurationError(f"order must be >= 1, got {order}")
+    side = 2 * order - 1
+    alpha = np.asarray(alpha, dtype=np.float64)
+
+    def aggregate(maps, center) -> np.ndarray:
+        data = as_tensor(maps).data
+        if data.ndim != 3:
+            raise DimensionError(f"features must be [H, W, C], got {data.shape}")
+        height, width, chans = data.shape
+        if alpha.shape not in ((side, side), (chans, side, side)):
+            raise DimensionError(
+                f"alpha shape {alpha.shape} does not match neighborhood side {side} (expect [{side},{side}] or [C,{side},{side}])"
+            )
+        r, c = int(center[0]), int(center[1])
+        if not (0 <= r < height and 0 <= c < width):
+            raise DomainError(f"center {(r, c)} outside grid {height}x{width}")
+        with no_grad():
+            mixed = ops.depthwise_conv2d(data[None], np.broadcast_to(alpha, (chans, side, side)))
+        return mixed.data[0, r, c]
+
+    phi = aggregate(features, i)
+    psi = aggregate(psi_features if psi_features is not None else features, j)
     if phi.shape != psi.shape:
         raise DimensionError(f"query/key aggregations disagree: {phi.shape} vs {psi.shape}")
     if channels is not None:

@@ -15,6 +15,7 @@ elapsed-time column is wall-clock and excluded from that promise.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,26 +158,28 @@ def ddpm_sample(model: ToyDiT, schedule: NoiseSchedule, shape, rng: Rng, labels=
     """Ancestral sampling from pure noise down to t = 0.
 
     Deterministic given (rng stream, parameters): one draw for the
-    initial state, then one per strictly-positive timestep.  The update
-    arithmetic runs in float64; the samples come back in the default
-    dtype, so an f32 run writes f32 samples.
+    initial state, then one per strictly-positive timestep.  The noise
+    draws and the update arithmetic run in the default dtype, so an f32
+    run samples in f32.  The schedule coefficients are Python floats:
+    NumPy scalars of float64 would promote f32 arrays to float64.
     """
     if model.cfg.max_timesteps < schedule.timesteps:
         raise ConfigurationError(
             f"model embeds timesteps < {model.cfg.max_timesteps}, schedule has {schedule.timesteps}"
         )
-    x = rng.normal(shape)
+    dtype = default_dtype()
+    x = rng.normal(shape).astype(dtype, copy=False)
     with no_grad():
         for t in range(schedule.timesteps - 1, -1, -1):
             eps = model.forward(Tensor(x), np.full(shape[0], t, dtype=np.int64), labels).data
-            alpha, abar, beta = schedule.alphas[t], schedule.alpha_bars[t], schedule.betas[t]
-            mean = (x - beta / np.sqrt(1.0 - abar) * eps) / np.sqrt(alpha)
+            alpha, abar, beta = float(schedule.alphas[t]), float(schedule.alpha_bars[t]), float(schedule.betas[t])
+            mean = (x - beta / math.sqrt(1.0 - abar) * eps) / math.sqrt(alpha)
             if t > 0:
-                var = beta * (1.0 - schedule.alpha_bars[t - 1]) / (1.0 - abar)
-                x = mean + np.sqrt(var) * rng.normal(shape)
+                var = beta * (1.0 - float(schedule.alpha_bars[t - 1])) / (1.0 - abar)
+                x = mean + math.sqrt(var) * rng.normal(shape).astype(dtype, copy=False)
             else:
                 x = mean
-    return x.astype(default_dtype(), copy=False)
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,3 @@ class NumericsError(PSWAError):
 
 class DegenerateMapError(NumericsError):
     """An attention map has no mass to normalize or measure."""
-
-
-class UndefinedRowError(DegenerateMapError):
-    """Every logit in an attention row is masked out."""

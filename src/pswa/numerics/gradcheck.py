@@ -50,7 +50,8 @@ def gradcheck(f: Callable[..., Tensor], inputs: Sequence[Tensor], step: float = 
     """Check d f(inputs) / d inputs for a scalar-valued ``f``.
 
     Every entry of every input with ``requires_grad=True`` is perturbed
-    by ±step (central differences).  Inputs are restored afterwards.
+    by ±step (central differences).  Inputs are restored afterwards, also
+    when ``f`` raises.
     """
     inputs = list(inputs)
     checked = [t for t in inputs if t.requires_grad]
@@ -77,12 +78,14 @@ def gradcheck(f: Callable[..., Tensor], inputs: Sequence[Tensor], step: float = 
         ana = analytic[i].reshape(-1)
         for j in range(flat.size):
             keep = flat[j]
-            with no_grad():
-                flat[j] = keep + step
-                up = f(*inputs).item()
-                flat[j] = keep - step
-                down = f(*inputs).item()
-            flat[j] = keep
+            try:
+                with no_grad():
+                    flat[j] = keep + step
+                    up = f(*inputs).item()
+                    flat[j] = keep - step
+                    down = f(*inputs).item()
+            finally:
+                flat[j] = keep
             num = (up - down) / (2.0 * step)
             err = abs(ana[j] - num) / max(abs(ana[j]), abs(num), _FLOOR)
             report.entries += 1

@@ -15,6 +15,7 @@ it understands (bad magic, unknown version/dtype, truncated payload).
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 
@@ -55,9 +56,12 @@ def load_tensor(path) -> Tensor:
     shape = struct.unpack_from(f"<{rank}Q", raw, offset) if rank else ()
     offset += 8 * rank
     dtype = _CODE_DTYPES[dtype_code]
-    count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+    count = math.prod(shape)  # Python ints: a fixed-width product can wrap to a size that matches
     expected = count * dtype.itemsize
     if len(raw) - offset != expected:
         raise UsageError(f"{path}: payload is {len(raw) - offset} bytes, expected {expected}")
-    arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+    try:
+        arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
+    except ValueError as exc:  # empty, but the other extents are beyond what numpy can index
+        raise UsageError(f"{path}: extents {shape} cannot be loaded: {exc}") from None
     return Tensor._wrap(np.ascontiguousarray(arr))

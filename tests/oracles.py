@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from pswa.errors import ConfigurationError, DimensionError, UndefinedRowError
+from pswa.errors import ConfigurationError, DegenerateMapError, DimensionError
 
 
 def brute_attention_distance(attn_map, grid_width):
@@ -191,7 +191,7 @@ def masked_full_attention_oracle(x, params, mask, bias=None):
     if mask.shape != (n, n):
         raise DimensionError(f"mask shape {mask.shape} != ({n}, {n})")
     if not mask.any(axis=1).all():
-        raise UndefinedRowError("mask leaves at least one query row with no visible keys")
+        raise DegenerateMapError("mask leaves at least one query row with no visible keys")
     heads, d = params.num_heads, params.head_dim
     if bias is not None:
         bias = np.asarray(bias, dtype=np.float64)

@@ -19,13 +19,7 @@ from oracles import (
 )
 
 from pswa.attention import AttentionParams, WindowSpec, window_attention
-from pswa.block import (
-    BridgeParams,
-    aggregate_neighborhood,
-    bridge_branch,
-    kth_neighborhood,
-    kth_order_similarity,
-)
+from pswa.block import BridgeParams, bridge_branch, kth_order_similarity
 from pswa.cli import main
 from pswa.config import RunConfig
 from pswa.diagnostics import (
@@ -122,14 +116,19 @@ def test_attention_distance_oracle_and_window_bound():
 # ---------------------------------------------------------------------------
 
 def test_neighborhood_and_similarity_oracles():
+    # every center, so each clipped edge and corner neighborhood is compared
+    gen = np.random.default_rng(2)
     for order in range(1, 6):
+        side = 2 * order - 1
         for extents in [(16, 16), (5, 7), (1, 1), (16, 3)]:
+            feats = gen.normal(size=(*extents, 2))
+            alpha = gen.normal(size=(side, side))
             for r in range(extents[0]):
                 for c in range(extents[1]):
-                    fast = kth_neighborhood((r, c), order, extents)
-                    assert list(fast.members) == brute_neighborhood((r, c), order, extents)
+                    i, j = (r, c), (extents[0] - 1 - r, c)
+                    got = kth_order_similarity(feats, i, j, order, alpha)
+                    assert abs(got - brute_similarity(feats, i, j, order, alpha)) < 1e-12
 
-    gen = np.random.default_rng(2)
     for order in (1, 2, 3):
         side = 2 * order - 1
         feats = gen.normal(size=(8, 8, 6))
@@ -170,7 +169,7 @@ def test_bridge_impulse_support_equals_neighborhood():
             x[0, center[0], center[1], 1] = 1.0
             out = bridge_branch(Tensor(x), params).data[0]
             support = {tuple(p) for p in np.argwhere(np.abs(out).sum(axis=-1) > 0)}
-            want = set(kth_neighborhood(center, order, (11, 11)).members)
+            want = set(brute_neighborhood(center, order, (11, 11)))
             assert support == want, f"order {order} center {center}"
 
 

@@ -11,7 +11,7 @@ from pswa.attention import (
     window_merge,
     window_partition,
 )
-from pswa.errors import ConfigurationError, DimensionError, UndefinedRowError
+from pswa.errors import ConfigurationError, DegenerateMapError, DimensionError
 from pswa.numerics import Rng, Tensor
 
 
@@ -167,7 +167,7 @@ def test_oracle_fully_masked_row_raises():
     params = make_params(4, 1, seed=2)
     mask = np.ones((3, 3), dtype=bool)
     mask[1, :] = False
-    with pytest.raises(UndefinedRowError):
+    with pytest.raises(DegenerateMapError):
         masked_full_attention_oracle(np.zeros((1, 3, 4)), params, mask)
 
 

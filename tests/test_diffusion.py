@@ -14,7 +14,7 @@ from pswa.diffusion import (
 )
 from pswa.errors import ConfigurationError, DimensionError, DomainError, NumericsError
 from pswa.model import ToyDiT, ToyDiTConfig
-from pswa.numerics import Rng, Tensor
+from pswa.numerics import Rng, Tensor, no_grad, set_default_dtype
 
 
 def tiny_cfg(**kw):
@@ -172,6 +172,37 @@ def test_ddpm_sample_deterministic_and_finite():
     assert (a != c).any()
     assert a.shape == (2, 1, 8, 8)
     assert np.isfinite(a).all()
+
+
+def restated_sample(model, schedule, shape, rng, dtype):
+    """The DDPM update written out with every array and coefficient in ``dtype``."""
+    x = rng.normal(shape).astype(dtype)
+    for t in range(schedule.timesteps - 1, -1, -1):
+        with no_grad():
+            eps = model.forward(Tensor(x), np.full(shape[0], t, dtype=np.int64)).data
+        alpha, abar, beta = schedule.alphas[t], schedule.alpha_bars[t], schedule.betas[t]
+        mean = (x - dtype(beta / np.sqrt(1.0 - abar)) * eps) / dtype(np.sqrt(alpha))
+        if t > 0:
+            sd = dtype(np.sqrt(beta * (1.0 - schedule.alpha_bars[t - 1]) / (1.0 - abar)))
+            x = mean + sd * rng.normal(shape).astype(dtype)
+        else:
+            x = mean
+    assert x.dtype == dtype
+    return x
+
+
+@pytest.mark.parametrize("precision, dtype", [("f64", np.float64), ("f32", np.float32)])
+def test_ddpm_sample_runs_in_default_dtype(precision, dtype):
+    # f64 restates the float64 update as it always ran; f32 must not
+    # promote to float64 anywhere and round only at the end
+    set_default_dtype(precision)
+    model, _, schedule = tiny_setup()
+    noise = Rng(5).split("perturb")
+    model.load_state({n: p.data + noise.split(n).normal(p.shape, std=0.1) for n, p in model.named_parameters().items()})
+    got = ddpm_sample(model, schedule, (2, 1, 8, 8), Rng(3))
+    want = restated_sample(model, schedule, (2, 1, 8, 8), Rng(3), dtype)
+    assert got.dtype == dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_ddpm_sample_checks_model_horizon():

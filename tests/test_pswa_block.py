@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
-from oracles import brute_depthwise_conv, brute_neighborhood, brute_similarity
+from oracles import brute_depthwise_conv, brute_similarity
 
 from pswa.attention import AttentionParams, WindowSpec, window_attention
 from pswa.block import (
     BridgeParams,
     PSWALayerConfig,
     PCCASchedule,
-    aggregate_neighborhood,
     bridge_branch,
     channel_split,
     coverage_schedule,
-    kth_neighborhood,
     kth_order_similarity,
     pswa_forward,
 )
@@ -223,33 +221,15 @@ def test_schedule_type_admits_nonmonotone_arms():
 # order-K neighborhoods and similarity
 # ---------------------------------------------------------------------------
 
-def test_neighborhood_matches_brute_everywhere():
-    for order in range(1, 6):
-        for hgt, wid in [(1, 1), (3, 3), (5, 7), (16, 16)]:
-            for r in range(hgt):
-                for c in range(wid):
-                    fast = kth_neighborhood((r, c), order, (hgt, wid))
-                    assert list(fast.members) == brute_neighborhood((r, c), order, (hgt, wid))
-
-
-def test_neighborhood_sizes():
-    # interior neighborhoods hit the full (2K-1)^2 square
-    for order in range(1, 5):
-        hood = kth_neighborhood((8, 8), order, (20, 20))
-        assert hood.size == (2 * order - 1) ** 2
-    # order 1 is the singleton everywhere
-    assert kth_neighborhood((0, 0), 1, (4, 4)).members == ((0, 0),)
-    # corner clipping
-    assert kth_neighborhood((0, 0), 2, (4, 4)).size == 4
-
-
-def test_neighborhood_rejects_offgrid_center():
+def test_neighborhood_rejects_offgrid_center(np_rng):
+    feats = np_rng.normal(size=(4, 4, 3))
+    alpha = np.ones((3, 3))
     with pytest.raises(DomainError):
-        kth_neighborhood((4, 0), 2, (4, 4))
+        kth_order_similarity(feats, (4, 0), (1, 1), 2, alpha)
     with pytest.raises(DomainError):
-        kth_neighborhood((0, -1), 2, (4, 4))
-    with pytest.raises(ConfigurationError):
-        kth_neighborhood((0, 0), 0, (4, 4))
+        kth_order_similarity(feats, (1, 1), (0, -1), 2, alpha)
+    with pytest.raises(ConfigurationError, match="order must be"):
+        kth_order_similarity(feats, (0, 0), (1, 1), 0, alpha)
 
 
 def test_similarity_matches_brute(np_rng):
@@ -298,11 +278,11 @@ def test_similarity_order1_unit_stencil_is_pairwise_logit(np_rng):
 def test_aggregate_rejects_bad_alpha(np_rng):
     feats = np_rng.normal(size=(4, 4, 3))
     with pytest.raises(DimensionError):
-        aggregate_neighborhood(feats, (1, 1), 2, np.ones((2, 2)))
+        kth_order_similarity(feats, (1, 1), (2, 2), 2, np.ones((2, 2)))
     with pytest.raises(DimensionError):
-        aggregate_neighborhood(feats, (1, 1), 2, np.ones((5, 3, 3)))
+        kth_order_similarity(feats, (1, 1), (2, 2), 2, np.ones((5, 3, 3)))
     with pytest.raises(DimensionError):
-        aggregate_neighborhood(np_rng.normal(size=(4, 4)), (1, 1), 2, np.ones((3, 3)))
+        kth_order_similarity(np_rng.normal(size=(4, 4)), (1, 1), (2, 2), 2, np.ones((3, 3)))
 
 
 def test_similarity_channel_slice_bounds(np_rng):

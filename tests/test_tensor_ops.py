@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -268,6 +270,18 @@ def test_gradcheck_restores_inputs(np_rng):
     gradcheck(lambda t: ops.sum_(ops.mul(t, t)), [x])
     assert (x.data == before).all()
 
+    # an f that raises on a perturbed entry must not leave it perturbed
+    def guarded(t):
+        if t.data[0] > 1.0:
+            raise NumericsError("x[0] left the domain")
+        return ops.sum_(ops.mul(t, t))
+
+    y = Tensor(np.array([1.0, 0.5, -2.0]), requires_grad=True)
+    before = y.data.tobytes()
+    with pytest.raises(NumericsError):
+        gradcheck(guarded, [y])
+    assert y.data.tobytes() == before
+
 
 # ---------------------------------------------------------------------------
 # rng
@@ -359,6 +373,13 @@ def test_pswt_rejects_garbage(tmp_path):
     trunc.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(UsageError):
         load_tensor(trunc)
+    # extents whose product wraps a 64-bit count (to 0, here), and an empty
+    # tensor whose other extent numpy cannot index
+    for extents in [(2**32, 2**32), (2**62, 0)]:
+        huge = tmp_path / "huge.pswt"
+        huge.write_bytes(b"PSWT" + struct.pack("<HBB", 1, 0, 2) + struct.pack("<2Q", *extents))
+        with pytest.raises(UsageError):
+            load_tensor(huge)
 
 
 # ---------------------------------------------------------------------------

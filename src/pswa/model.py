@@ -17,6 +17,7 @@ streams, so two models built from the same seed are bit-identical.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -312,7 +313,7 @@ class ToyDiT:
     def condition(self, t, batch: int, labels=None) -> Tensor:
         t_arr = np.asarray(t).reshape(-1)
         if t_arr.size == 1:
-            t_arr = np.full(batch, int(t_arr[0]))
+            t_arr = np.full(batch, t_arr[0])  # keeps the dtype, so a float still fails the integer check
         if t_arr.size != batch:
             raise DimensionError(f"got {t_arr.size} timesteps for batch {batch}")
         cond = timestep_embedding(t_arr, self.t_embed, self.cfg.max_timesteps)
@@ -372,21 +373,20 @@ class ToyDiT:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(directory, model: ToyDiT, step: int, rng: Rng, extra: Optional[dict] = None) -> Path:
-    """Write manifest.json plus one PSWT dump per named parameter."""
+    """Write params.pswt (the named_parameters() raveled into one 1-D dump), then manifest.json with its sha256."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    params = model.named_parameters()
+    dump = directory / "params.pswt"
+    dump_tensor(np.concatenate([t.data.ravel() for t in model.named_parameters().values()]), dump)
     manifest = {
-        "format": 1,
+        "format": 2,
         "step": int(step),
         "model_config": write_fields(model.cfg),
         "rng": rng.state_dict(),
-        "params": {name: f"{name}.pswt" for name in params},
+        "params_sha256": hashlib.sha256(dump.read_bytes()).hexdigest(),
     }
     if extra:
         manifest["extra"] = extra
-    for name, tensor in params.items():
-        dump_tensor(tensor, directory / manifest["params"][name])
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
     return directory
 
@@ -394,10 +394,8 @@ def save_checkpoint(directory, model: ToyDiT, step: int, rng: Rng, extra: Option
 def load_checkpoint(directory):
     """Read a checkpoint directory -> (manifest, rebuilt ToyDiT, Rng).
 
-    The model is reconstructed from the manifest's config echo and its
-    parameters overwritten from the dumps, which must hold the run's
-    default dtype; the returned Rng resumes the training stream exactly
-    where the checkpoint left it.
+    The manifest's config echo rebuilds the model and fixes every name and shape; params.pswt must
+    match its sha256 and hold those values in the run's dtype.  The Rng resumes where it was saved.
     """
     directory = Path(directory)
     path = directory / "manifest.json"
@@ -405,9 +403,9 @@ def load_checkpoint(directory):
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"checkpoint manifest {path} is not valid JSON: {exc}") from None
-    if not isinstance(manifest, dict) or manifest.get("format") != 1:
-        raise UsageError(f"{path} is not a format-1 checkpoint manifest")
-    missing = sorted({"model_config", "rng", "params"} - set(manifest))
+    if not isinstance(manifest, dict) or manifest.get("format") != 2:
+        raise UsageError(f"{path} is not a format-2 checkpoint manifest")
+    missing = sorted({"model_config", "rng", "params_sha256"} - set(manifest))
     if missing:
         raise ConfigurationError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
     cfg = ToyDiTConfig(**read_fields(ToyDiTConfig, manifest["model_config"], "model_config"))
@@ -415,14 +413,16 @@ def load_checkpoint(directory):
         rng = Rng.from_state_dict(manifest["rng"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"checkpoint manifest {path}: rng is not a saved Rng state ({exc!r})") from None
-    files = manifest["params"]
-    if not isinstance(files, dict) or not all(isinstance(f, str) for f in files.values()):
-        raise ConfigurationError(f"checkpoint manifest {path}: params must map parameter names to file names")
-    state = {name: load_tensor(directory / fname) for name, fname in files.items()}
-    run_dtype = np.dtype(default_dtype())
-    for name, tensor in state.items():
-        if tensor.dtype != run_dtype:
-            raise ConfigurationError(f"checkpoint parameter {name} is {tensor.dtype}, but this run computes in {run_dtype}")
+    dump = directory / "params.pswt"
+    if hashlib.sha256(dump.read_bytes()).hexdigest() != manifest["params_sha256"]:
+        raise ConfigurationError(f"{dump} does not match the sha256 in {path}: a torn or mixed checkpoint")
+    flat = load_tensor(dump).data
     model = ToyDiT(cfg, Rng(0))  # parameters are overwritten below
-    model.load_state(state)
+    params = model.named_parameters()
+    sizes = [t.size for t in params.values()]
+    run_dtype = np.dtype(default_dtype())
+    if flat.dtype != run_dtype or flat.shape != (sum(sizes),):
+        raise ConfigurationError(f"{dump} holds {flat.size} {flat.dtype}, but this run's model takes {sum(sizes)} {run_dtype}")
+    pieces = np.split(flat, np.cumsum(sizes)[:-1])
+    model.load_state({name: piece.reshape(t.shape) for (name, t), piece in zip(params.items(), pieces)})
     return manifest, model, rng

@@ -64,4 +64,4 @@ def load_tensor(path) -> Tensor:
         arr = np.frombuffer(raw, dtype=dtype, count=count, offset=offset).reshape(shape)
     except ValueError as exc:  # empty, but the other extents are beyond what numpy can index
         raise UsageError(f"{path}: extents {shape} cannot be loaded: {exc}") from None
-    return Tensor._wrap(np.ascontiguousarray(arr))
+    return Tensor._wrap(arr.copy())  # writable, and a 0-d tensor stays 0-d

@@ -145,8 +145,15 @@ def test_sample_checkpoint_precision_must_match(tiny_config, tmp_path, capsys):
     capsys.readouterr()
     assert main(["sample", "--config", str(tiny_config), "--out", str(f64), "--ckpt", ckpt]) == 2
     err = capsys.readouterr().err
-    assert re.search(r"parameter [\w.]+ is float32, but this run computes in float64", err)
+    assert re.search(r"holds \d+ float32, but this run's model takes \d+ float64", err)
     assert not (f64 / "samples.pswt").exists()
+
+    # a checkpoint without its parameter dump is a usage fault too, not a traceback
+    (train_out / "ckpt-final" / "params.pswt").unlink()
+    f32_again = tmp_path / "f32-again"
+    assert main(["sample", "--config", str(tiny_config), "--out", str(f32_again), "--ckpt", ckpt, "--precision", "f32"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (f32_again / "samples.pswt").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -15,7 +16,7 @@ from pswa.model import (
     timestep_embedding,
     unpatchify,
 )
-from pswa.numerics import Rng, Tensor
+from pswa.numerics import Rng, Tensor, dump_tensor, load_tensor
 from pswa.schema import read_fields, write_fields
 
 
@@ -93,6 +94,8 @@ def test_timestep_embedding_domain():
     model = ToyDiT(tiny_cfg(), Rng(0))
     with pytest.raises(UsageError):
         timestep_embedding(np.array([0.5]), model.t_embed, 10)
+    with pytest.raises(UsageError):  # a scalar float is not truncated to an integer step
+        model.forward(np.zeros((2, 1, 8, 8)), 3.7)
     with pytest.raises(DomainError):
         timestep_embedding(np.array([10]), model.t_embed, 10)
     with pytest.raises(DomainError):
@@ -235,7 +238,9 @@ def test_checkpoint_roundtrip_bitexact(tmp_path, np_rng):
     save_checkpoint(tmp_path / "ckpt", model, step=17, rng=rng, extra={"loss": 0.25})
     expected_next = rng.normal((4,))
 
+    assert {p.name for p in (tmp_path / "ckpt").iterdir()} == {"manifest.json", "params.pswt"}
     manifest, loaded, resumed = load_checkpoint(tmp_path / "ckpt")
+    assert "params" not in manifest
     assert manifest["step"] == 17
     assert manifest["extra"] == {"loss": 0.25}
     assert loaded.cfg == cfg
@@ -247,17 +252,38 @@ def test_checkpoint_roundtrip_bitexact(tmp_path, np_rng):
     np.testing.assert_array_equal(resumed.normal((4,)), expected_next)
 
 
+def _rewritten(corrupt_text):
+    """Corrupt a checkpoint directory by rewriting its manifest's text."""
+    def corrupt(ckpt):
+        path = ckpt / "manifest.json"
+        path.write_text(corrupt_text(path.read_text()))
+    return corrupt
+
+
 def _edited(edit):
-    def corrupt(text):
+    """Corrupt a checkpoint directory by editing its parsed manifest."""
+    def corrupt_text(text):
         doc = json.loads(text)
         edit(doc)
         return json.dumps(doc)
+    return _rewritten(corrupt_text)
+
+
+def _redumped(values, record_digest=True):
+    """Replace params.pswt by ``values(flat)``; with ``record_digest`` the
+    manifest gets the new dump's sha256, so the pair is consistent."""
+    def corrupt(ckpt):
+        dump = ckpt / "params.pswt"
+        dump_tensor(values(load_tensor(dump).data), dump)
+        if record_digest:
+            digest = hashlib.sha256(dump.read_bytes()).hexdigest()
+            _edited(lambda d: d.update(params_sha256=digest))(ckpt)
     return corrupt
 
 
 @pytest.mark.parametrize("corrupt, error, match", [
-    pytest.param(_edited(lambda d: d.update(format=2)), UsageError, "format", id="format_2"),
-    pytest.param(lambda text: text[: len(text) // 2], ConfigurationError, "JSON", id="truncated"),
+    pytest.param(_edited(lambda d: d.update(format=1)), UsageError, "format", id="format_1"),
+    pytest.param(_rewritten(lambda text: text[: len(text) // 2]), ConfigurationError, "JSON", id="truncated"),
     pytest.param(_edited(lambda d: d.pop("rng")), ConfigurationError, "rng", id="no_rng"),
     pytest.param(_edited(lambda d: d["model_config"].update(depth="2")), ConfigurationError, "depth", id="depth_str"),
     pytest.param(_edited(lambda d: d["model_config"].update(f_strat=0.5)), ConfigurationError, "f_strat", id="unknown_key"),
@@ -269,13 +295,15 @@ def _edited(edit):
     pytest.param(_edited(lambda d: d["rng"].update(path=[1, 2, 3])), ConfigurationError, "rng is not", id="rng_path_long"),
     pytest.param(_edited(lambda d: d["rng"]["philox"].update(buffer_pos=99)), ConfigurationError, "rng is not", id="rng_buffer_pos_99"),
     pytest.param(_edited(lambda d: d["rng"]["philox"].update(has_uint32=7)), ConfigurationError, "rng is not", id="rng_has_uint32_7"),
-    pytest.param(_edited(lambda d: d.update(params=["a"])), ConfigurationError, "params must", id="params_list"),
-    pytest.param(_edited(lambda d: d["params"].update({"head.b": 3})), ConfigurationError, "params must", id="params_entry_int"),
+    pytest.param(_edited(lambda d: d.pop("params_sha256")), ConfigurationError, "params_sha256", id="no_digest"),
+    pytest.param(_redumped(lambda flat: flat[:-1]), ConfigurationError, "float64, but", id="dump_short"),
+    pytest.param(_redumped(lambda flat: flat.astype(np.float32)), ConfigurationError, "float32, but", id="dump_f32"),
+    pytest.param(_redumped(lambda flat: flat + 1.0, record_digest=False), ConfigurationError, "sha256", id="dump_torn"),
+    pytest.param(lambda ckpt: (ckpt / "params.pswt").unlink(), OSError, "params.pswt", id="dump_missing"),
 ])
 def test_checkpoint_rejects_unknown_format(tmp_path, corrupt, error, match):
     model = ToyDiT(tiny_cfg(), Rng(0))
     save_checkpoint(tmp_path / "ckpt", model, step=0, rng=Rng(0))
-    manifest_path = tmp_path / "ckpt" / "manifest.json"
-    manifest_path.write_text(corrupt(manifest_path.read_text()))
+    corrupt(tmp_path / "ckpt")
     with pytest.raises(error, match=match):
         load_checkpoint(tmp_path / "ckpt")

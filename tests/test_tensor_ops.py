@@ -359,7 +359,8 @@ def test_pswt_scalar_and_header_layout(tmp_path):
     assert raw[:4] == b"PSWT"
     assert raw[4:6] == (1).to_bytes(2, "little")  # version
     assert raw[6] == 0 and raw[7] == 0  # f64, rank 0
-    assert load_tensor(path).data == 3.5
+    back = load_tensor(path)
+    assert back.shape == () and back.data == 3.5
 
 
 def test_pswt_rejects_garbage(tmp_path):

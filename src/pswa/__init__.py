@@ -19,7 +19,6 @@ from .attention import (
 )
 from .block import (
     BridgeParams,
-    PCCASchedule,
     PSWALayerConfig,
     bridge_branch,
     channel_split,

@@ -1,4 +1,4 @@
-"""The windowed-attention + bridging-convolution block, and its schedule.
+"""The windowed-attention + bridging-convolution block, and its coverage schedule.
 
 A block splits the C channels of a [B, H, W, C] token grid at h:
 
@@ -11,10 +11,12 @@ A block splits the C channels of a [B, H, W, C] token grid at h:
 `PSWALayerConfig` owns one layer's mixing stage: the window geometry
 and both branches' parameters.  h and C are read off those parameters
 (h is the attention width), never stored beside them.
-`coverage_schedule` picks h per layer and grows it with depth: early
-layers keep most channels on the local conv branch, late layers hand
-them to attention.  The schedule value K (the "order") also sizes the
-bridge kernel, which the model builds with side 2K - 1: after one
+`coverage_schedule` generates the per-layer widths h_l and grows them
+with depth: early layers keep most channels on the local conv branch,
+late layers hand them to attention.  It returns a plain tuple; the
+model's allocation is `ToyDiTConfig.window_widths`, which reads either
+this schedule or the config's explicit fractions.  The order K sizes
+the bridge kernel, which the model builds with side 2K - 1: after one
 block, a channel routed through the bridge has mixed a Chebyshev-(K-1)
 neighborhood, the order-K neighborhood.
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -155,56 +157,6 @@ def pswa_forward(x, cfg: PSWALayerConfig):
 # coverage schedule
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PCCASchedule:
-    """Per-layer window-branch channel widths h_l (bridge gets C - h_l).
-
-    The generated schedules are monotone nondecreasing in depth; the
-    type itself also admits hand-written non-monotone allocations so
-    ablation arms (decreasing, constant, all-or-nothing) are expressible
-    from config.  ``monotone_nondecreasing`` reports which case holds.
-    """
-
-    total_channels: int
-    head_dim: int
-    window_channels: tuple
-
-    def __post_init__(self):
-        c, m = self.total_channels, self.head_dim
-        if m < 1 or c < 1 or c % m:
-            raise ConfigurationError(f"total_channels {c} must be a positive multiple of head_dim {m}")
-        if not self.window_channels:
-            raise ConfigurationError("schedule needs at least one layer")
-        for l, h in enumerate(self.window_channels):
-            if not 0 <= h <= c:
-                raise ConfigurationError(f"layer {l}: window channels {h} outside [0, {c}]")
-            if h % m:
-                raise ConfigurationError(f"layer {l}: window channels {h} not a multiple of head_dim {m}")
-
-    @property
-    def depth(self) -> int:
-        return len(self.window_channels)
-
-    @property
-    def fractions(self) -> tuple:
-        return tuple(h / self.total_channels for h in self.window_channels)
-
-    @property
-    def bridge_channels(self) -> tuple:
-        return tuple(self.total_channels - h for h in self.window_channels)
-
-    @property
-    def monotone_nondecreasing(self) -> bool:
-        hs = self.window_channels
-        return all(a <= b for a, b in zip(hs, hs[1:]))
-
-    @classmethod
-    def from_fractions(cls, fractions: Sequence[float], total_channels: int, head_dim: int) -> "PCCASchedule":
-        """Resolve explicit per-layer fractions (ablations; monotonicity not required)."""
-        hs = tuple(_round_to_width(f, total_channels, head_dim) for f in fractions)
-        return cls(total_channels, head_dim, hs)
-
-
 def _round_to_width(fraction: float, total_channels: int, head_dim: int) -> int:
     if not 0.0 <= fraction <= 1.0:
         raise ConfigurationError(f"channel fraction {fraction} outside [0, 1]")
@@ -219,23 +171,25 @@ def coverage_schedule(
     total_channels: int,
     head_dim: int,
     mode: str = "linear",
-) -> PCCASchedule:
+) -> tuple[int, ...]:
     """Progressive allocation: interpolate the window-branch fraction
     from f_start (layer 0) to f_end (last layer), snap each layer to a
     whole number of heads, and clamp so widths never shrink with depth.
 
-    Modes: "linear" (default), "step" (jump at mid-depth), "cosine"
-    (slow start, fast finish).  A single-layer schedule uses f_end.
+    Returns one window width h_l per layer (the bridge gets the other
+    total_channels - h_l); depth 0 gives ().  Modes: "linear" (default),
+    "step" (jump at mid-depth), "cosine" (slow start, fast finish).  A
+    single-layer schedule uses f_end.
     """
-    if depth < 1:
-        raise ConfigurationError(f"depth must be >= 1, got {depth}")
+    if depth < 0:
+        raise ConfigurationError(f"depth must be >= 0, got {depth}")
     for name, f in (("f_start", f_start), ("f_end", f_end)):
         if not 0.0 <= f <= 1.0:
             raise ConfigurationError(f"{name}={f} outside [0, 1]")
     if f_start > f_end:
         raise ConfigurationError(f"f_start {f_start} > f_end {f_end}; progressive coverage must not shrink")
     if mode not in ("linear", "step", "cosine"):
-        raise ConfigurationError(f"unknown schedule mode {mode!r}")
+        raise ConfigurationError(f"mode {mode!r} is not one of 'linear', 'step', 'cosine'")
 
     if depth == 1:
         raw = [f_end]
@@ -252,7 +206,7 @@ def coverage_schedule(
         h = max(_round_to_width(f, total_channels, head_dim), prev)
         widths.append(h)
         prev = h
-    return PCCASchedule(total_channels, head_dim, tuple(widths))
+    return tuple(widths)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,10 @@ class RunConfig:
         check_ranges(self)
         if self.precision not in ("f64", "f32"):
             raise ConfigurationError(f"precision must be 'f64' or 'f32', got {self.precision!r}")
+        if min(self.model.image_h, self.model.image_w) < 2:  # ToyDataset draws no image smaller than 2x2
+            raise ConfigurationError(
+                f"model.image_h and model.image_w must be >= 2, got {self.model.image_h}x{self.model.image_w}"
+            )
         if self.model.max_timesteps != self.schedule.timesteps:
             self.model = dataclasses.replace(self.model, max_timesteps=self.schedule.timesteps)
 

@@ -274,7 +274,6 @@ def flops_report(cfg: ToyDiTConfig) -> FlopsReport:
     wh, ww = cfg.window
     win_tokens = wh * ww
     k = 2 * cfg.order - 1
-    schedule = cfg.build_schedule()
 
     rows = [
         FlopsRow("patch_embed", 2 * n * cfg.patch_dim * d, cfg.patch_dim * d + d),
@@ -282,8 +281,7 @@ def flops_report(cfg: ToyDiTConfig) -> FlopsReport:
     ]
     if cfg.class_count:
         rows.append(FlopsRow("class_embed", 0, cfg.class_count * d))
-    for l in range(cfg.depth):
-        h_l = schedule.window_channels[l]
+    for l, h_l in enumerate(cfg.window_widths):
         c_b = d - h_l
         heads_l = h_l // cfg.head_dim
         bias_params = heads_l * (2 * wh - 1) * (2 * ww - 1)

@@ -23,8 +23,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, DimensionError, DomainError, NumericsError
-from .model import ToyDiT, save_checkpoint
+from .errors import ConfigurationError, DimensionError, NumericsError
+from .model import ToyDiT, check_timesteps, save_checkpoint
 from .numerics import Rng, Tensor, default_dtype, no_grad, ops
 
 
@@ -54,16 +54,6 @@ class NoiseSchedule:
         return cls(np.linspace(beta_start, beta_end, timesteps))
 
 
-def _check_t(t, timesteps: int) -> np.ndarray:
-    arr = np.asarray(t)
-    if not np.issubdtype(arr.dtype, np.integer):
-        raise DomainError(f"timesteps must be integers, got dtype {arr.dtype}")
-    arr = arr.reshape(-1)
-    if arr.size and (arr.min() < 0 or arr.max() >= timesteps):
-        raise DomainError(f"timestep outside [0, {timesteps})")
-    return arr
-
-
 def q_sample(x0: np.ndarray, t, noise: np.ndarray, schedule: NoiseSchedule) -> np.ndarray:
     """Corrupt clean images to their timestep-t marginal:
     sqrt(abar_t) * x0 + sqrt(1 - abar_t) * noise, per-sample t."""
@@ -71,11 +61,7 @@ def q_sample(x0: np.ndarray, t, noise: np.ndarray, schedule: NoiseSchedule) -> n
     noise = np.asarray(noise, dtype=np.float64)
     if x0.shape != noise.shape:
         raise DimensionError(f"x0 {x0.shape} and noise {noise.shape} differ")
-    tt = _check_t(t, schedule.timesteps)
-    if tt.size == 1:
-        tt = np.full(x0.shape[0], tt[0])
-    if tt.size != x0.shape[0]:
-        raise DimensionError(f"{tt.size} timesteps for batch {x0.shape[0]}")
+    tt = check_timesteps(t, x0.shape[0], schedule.timesteps)
     abar = schedule.alpha_bars[tt].reshape(-1, *([1] * (x0.ndim - 1)))
     return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * noise
 

@@ -7,7 +7,7 @@ noise added to its input.
 
 Every block keeps the token grid at [B, grid_h, grid_w, d_model]; the
 channel split between the window branch and the bridge branch comes
-from the coverage schedule, so early and late blocks generally differ.
+from `ToyDiTConfig.window_widths`, so early and late blocks generally differ.
 
 Initialization: projection weights ~ N(0, 0.02), all biases zero, and
 the modulation projections entirely zero, which makes every block the
@@ -20,14 +20,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .attention import AttentionParams, WindowSpec
-from .block import BridgeParams, PCCASchedule, PSWALayerConfig, coverage_schedule, pswa_forward
+from .block import BridgeParams, PSWALayerConfig, _round_to_width, coverage_schedule, pswa_forward
 from .errors import ConfigurationError, DimensionError, DomainError, UsageError
 from .numerics import Rng, Tensor, as_tensor, default_dtype, dump_tensor, load_tensor, ops
 from .schema import at_least, check_ranges, inside, read_fields, write_fields
@@ -67,7 +67,7 @@ class ToyDiTConfig:
             )
         if self.fractions is not None and len(self.fractions) != self.depth:
             raise ConfigurationError(f"fractions has {len(self.fractions)} entries for depth {self.depth}")
-        self.build_schedule()  # f_start, f_end, schedule_mode and fractions fail here, not at model build
+        self.window_widths  # every pcca value is checked here, not at model build
 
     @property
     def grid_h(self) -> int:
@@ -89,14 +89,16 @@ class ToyDiTConfig:
     def patch_dim(self) -> int:
         return self.image_channels * self.patch * self.patch
 
-    def build_schedule(self) -> Optional[PCCASchedule]:
-        if self.depth == 0:
-            return None
+    @property
+    def window_widths(self) -> tuple[int, ...]:
+        """The window-branch width h_l of each block (the bridge gets
+        d_model - h_l): ``fractions`` snapped to whole heads, or else the
+        generated schedule.  The schedule is built either way, so f_start,
+        f_end and schedule_mode are checked even when fractions override it."""
+        widths = coverage_schedule(self.depth, self.f_start, self.f_end, self.d_model, self.head_dim, self.schedule_mode)
         if self.fractions is not None:
-            return PCCASchedule.from_fractions(self.fractions, self.d_model, self.head_dim)
-        return coverage_schedule(
-            self.depth, self.f_start, self.f_end, self.d_model, self.head_dim, self.schedule_mode
-        )
+            widths = tuple(_round_to_width(f, self.d_model, self.head_dim) for f in self.fractions)
+        return widths
 
 
 @dataclass
@@ -177,17 +179,28 @@ class TimeEmbedParams:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
 
-def timestep_embedding(t, params: TimeEmbedParams, max_t: int) -> Tensor:
-    """Embed integer timesteps: sinusoid -> linear -> SiLU -> linear.
-
-    Valid timesteps are 0 <= t < max_t; anything else is out of domain.
-    """
+def check_timesteps(t, batch: int, max_t: int) -> np.ndarray:
+    """``t`` as ``batch`` integer timesteps in [0, max_t); a single one is
+    broadcast.  A float is refused (UsageError) rather than truncated; a
+    count that is not 1 or ``batch`` is a DimensionError, and a value
+    outside the range a DomainError."""
     arr = np.asarray(t)
     if not np.issubdtype(arr.dtype, np.integer):
         raise UsageError(f"timesteps must be integers, got dtype {arr.dtype}")
     arr = arr.reshape(-1)
+    if arr.size == 1:
+        arr = np.full(batch, arr[0])
+    if arr.size != batch:
+        raise DimensionError(f"got {arr.size} timesteps for batch {batch}")
     if arr.size and (arr.min() < 0 or arr.max() >= max_t):
         raise DomainError(f"timestep outside [0, {max_t}): {arr.min()}..{arr.max()}")
+    return arr
+
+
+def timestep_embedding(t, params: TimeEmbedParams, max_t: int) -> Tensor:
+    """Embed integer timesteps 0 <= t < max_t (see `check_timesteps`):
+    sinusoid -> linear -> SiLU -> linear."""
+    arr = check_timesteps(t, np.size(t), max_t)
     feats = Tensor(sinusoidal_features(arr, params.w1.shape[0]))
     hidden = ops.silu(ops.add(ops.matmul(feats, params.w1), params.b1))
     return ops.add(ops.matmul(hidden, params.w2), params.b2)
@@ -241,7 +254,6 @@ def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig):
 class ToyDiT:
     def __init__(self, cfg: ToyDiTConfig, rng: Rng):
         self.cfg = cfg
-        self.schedule = cfg.build_schedule()
         d = cfg.d_model
         init = rng.split("init")
 
@@ -264,8 +276,7 @@ class ToyDiT:
         hidden = int(round(d * cfg.mlp_ratio))
         wh, ww = cfg.window
         kernel = 2 * cfg.order - 1  # the bridge's reach matches the order-K neighborhood
-        for l in range(cfg.depth):
-            h_l = self.schedule.window_channels[l]
+        for l, h_l in enumerate(cfg.window_widths):
             heads_l = h_l // cfg.head_dim
             spec = WindowSpec.create(wh, ww, heads_l) if h_l else None
             attn = AttentionParams.create(h_l, heads_l, init.split(f"blocks.{l}.attn")) if h_l else None
@@ -311,11 +322,7 @@ class ToyDiT:
     # -- forward ----------------------------------------------------------------
 
     def condition(self, t, batch: int, labels=None) -> Tensor:
-        t_arr = np.asarray(t).reshape(-1)
-        if t_arr.size == 1:
-            t_arr = np.full(batch, t_arr[0])  # keeps the dtype, so a float still fails the integer check
-        if t_arr.size != batch:
-            raise DimensionError(f"got {t_arr.size} timesteps for batch {batch}")
+        t_arr = check_timesteps(t, batch, self.cfg.max_timesteps)
         cond = timestep_embedding(t_arr, self.t_embed, self.cfg.max_timesteps)
         if self.cfg.class_count:
             if labels is None:

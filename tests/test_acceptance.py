@@ -258,27 +258,41 @@ def test_trained_split_model_keeps_more_high_frequency():
 # ---------------------------------------------------------------------------
 
 def test_five_allocation_arms_from_config():
-    def schedule_from(pcca: dict):
+    def config_from(pcca: dict):
         raw = {"pcca": pcca} if pcca else {}
-        return RunConfig.from_dict(raw).build_model_config().build_schedule()
+        return RunConfig.from_dict(raw).build_model_config()
 
-    no_window = schedule_from({"fractions": [0.0, 0.0, 0.0, 0.0]})
-    no_bridge = schedule_from({"fractions": [1.0, 1.0, 1.0, 1.0]})
-    decreasing = schedule_from({"fractions": [0.75, 0.5, 0.5, 0.25]})
-    constant = schedule_from({"fractions": [0.5, 0.5, 0.5, 0.5]})
-    increasing = schedule_from({})  # the default arm
-
-    arms = [no_window, no_bridge, decreasing, constant, increasing]
-    widths = [s.window_channels for s in arms]
+    configs = [
+        config_from({"fractions": [0.0, 0.0, 0.0, 0.0]}),  # no window branch
+        config_from({"fractions": [1.0, 1.0, 1.0, 1.0]}),  # no bridge
+        config_from({"fractions": [0.75, 0.5, 0.5, 0.25]}),  # decreasing
+        config_from({"fractions": [0.5, 0.5, 0.5, 0.5]}),  # constant
+        config_from({}),  # the default arm: increasing
+    ]
+    widths = [cfg.window_widths for cfg in configs]
     assert len(set(widths)) == 5, f"arms not pairwise distinct: {widths}"
+    no_window, no_bridge, decreasing, constant, increasing = widths
 
-    assert no_window.window_channels == (0, 0, 0, 0)
-    assert no_bridge.window_channels == (32, 32, 32, 32)
-    assert not decreasing.monotone_nondecreasing
-    assert constant.monotone_nondecreasing and len(set(constant.window_channels)) == 1
-    assert increasing.monotone_nondecreasing
-    assert increasing.window_channels[0] < increasing.window_channels[-1]
-    assert increasing.window_channels == (8, 16, 16, 24)
+    def steps(hs):
+        return list(zip(hs, hs[1:]))
+
+    assert no_window == (0, 0, 0, 0)
+    assert no_bridge == (32, 32, 32, 32)
+    assert not all(a <= b for a, b in steps(decreasing))
+    assert all(a == b for a, b in steps(constant))
+    assert all(a <= b for a, b in steps(increasing))
+    assert increasing[0] < increasing[-1]
+    assert increasing == (8, 16, 16, 24)
+
+    # the built model and the cost model both follow the config's allocation
+    for cfg, hs in zip(configs, widths):
+        model = ToyDiT(cfg, Rng(0))
+        assert tuple(layer.window_channels for layer in model.layer_configs) == hs
+        assert tuple(layer.bridge_channels for layer in model.layer_configs) == tuple(32 - h for h in hs)
+        rows = flops_report(cfg).by_component()
+        for l, h in enumerate(hs):
+            assert rows[f"block{l}.projection"].flops == 8 * cfg.tokens * h * h
+            assert rows[f"block{l}.projection"].params == 4 * h * h
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,16 @@ def test_flops_report_and_measured_cross_check(tiny_config, tmp_path, capsys):
     pytest.param(["train"], {"model": {"window": [2]}}, "window", id="window_short"),
     pytest.param(["train"], {"model": {"window": "ab"}}, "window", id="window_str"),
     pytest.param(["train"], {"pcca": {"fractions": [0.5, "x", 1, 1]}}, "fractions", id="fractions_item"),
+    # every pcca key is checked, also when fractions override the generated schedule or depth is 0
+    pytest.param(["train"], {"model": {"depth": 4}, "pcca": {"f_start": 5.0, "fractions": [1, 1, 1, 1]}},
+                 "f_start", id="f_start_5_with_fractions"),
+    pytest.param(["train"], {"model": {"depth": 4}, "pcca": {"mode": "bogus", "fractions": [1, 1, 1, 1]}},
+                 "mode", id="mode_bogus_with_fractions"),
+    pytest.param(["train"], {"model": {"depth": 4}, "pcca": {"f_start": 0.9, "f_end": 0.1, "fractions": [1, 1, 1, 1]}},
+                 "f_start", id="shrinking_with_fractions"),
+    pytest.param(["train"], {"model": {"depth": 0}, "pcca": {"f_start": -3.0, "mode": "zzz"}},
+                 "f_start", id="bad_pcca_at_depth_0"),
+    pytest.param(["train"], {"model": {"image_h": 1, "patch": 1, "window": [1, 1]}}, "image_h", id="image_h_1"),
     pytest.param(["train"], {"training": {"lr": "0.1"}}, "lr", id="lr_str"),
     pytest.param(["train"], {"training": {"lr": 0}}, "lr", id="lr_0"),
     pytest.param(["train"], {"training": {"lr": -1e-4}}, "lr", id="lr_negative"),

@@ -12,7 +12,7 @@ from pswa.diffusion import (
     train_model,
     training_loss,
 )
-from pswa.errors import ConfigurationError, DimensionError, DomainError, NumericsError
+from pswa.errors import ConfigurationError, DimensionError, DomainError, NumericsError, UsageError
 from pswa.model import ToyDiT, ToyDiTConfig
 from pswa.numerics import Rng, Tensor, no_grad, set_default_dtype
 
@@ -93,7 +93,7 @@ def test_q_sample_validation(np_rng):
         q_sample(x0, 0, np_rng.normal(size=(2, 1, 4, 5)), s)
     with pytest.raises(DomainError):
         q_sample(x0, 10, x0, s)
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError):  # a float is a contract fault, as in model.forward
         q_sample(x0, np.array([0.5, 1.0]), x0, s)
     with pytest.raises(DimensionError):
         q_sample(x0, np.array([1, 2, 3]), x0, s)

@@ -142,7 +142,7 @@ def test_forward_shapes_and_map_collection(np_rng):
 
 def test_depth_zero_model(np_rng):
     model = ToyDiT(tiny_cfg(depth=0), Rng(0))
-    assert model.schedule is None
+    assert model.cfg.window_widths == ()
     x = Tensor(np_rng.normal(size=(1, 1, 8, 8)))
     assert model.forward(x, 0).shape == (1, 1, 8, 8)
 

@@ -10,7 +10,9 @@
 Exit codes: 0 success, 1 a numeric check or tolerance failed, 2 bad
 usage or configuration.  Commands that write artifacts also write
 resolved_config.json into the output directory so every run records
-the exact configuration that produced it.
+the exact configuration that produced it.  It is written only once the
+command has read its inputs (config, checkpoint, tensor file), so a run
+refused on its inputs creates no output directory.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ import numpy as np
 from . import diagnostics, gradsuite
 from .config import RunConfig
 from .diffusion import ddpm_sample, q_sample, train_model
-from .errors import NumericsError, PSWAError
+from .errors import ConfigurationError, NumericsError, PSWAError
 from .model import ToyDiT, load_checkpoint
 from .numerics import Rng, Tensor, dump_tensor, load_tensor, no_grad, set_default_dtype
 
 
 def _setup(args) -> tuple[RunConfig, Path]:
-    """Load the config, apply the command-line overrides, and echo the
-    result to the output directory.  Overrides pass the same checks as
-    the file, and every check runs before the output directory is made."""
+    """Load the config and apply the command-line overrides, which pass the
+    same checks as the file.  Nothing is written here: each command echoes
+    the config with ``write_resolved`` after its inputs are read."""
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
     overrides = {k: v for k in ("seed", "precision") if (v := getattr(args, k, None)) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
@@ -41,7 +43,6 @@ def _setup(args) -> tuple[RunConfig, Path]:
         cfg = dataclasses.replace(cfg, diagnostics=dataclasses.replace(cfg.diagnostics, sample_count=args.count))
     set_default_dtype(cfg.precision)
     out = Path(args.out) if args.out else Path("runs") / args.command
-    cfg.write_resolved(out)
     return cfg, out
 
 
@@ -80,6 +81,7 @@ def cmd_train(args) -> int:
     rng = Rng(cfg.seed)
     net = ToyDiT(cfg.build_model_config(), rng)
     dataset = cfg.build_dataset(rng.split("data"))
+    cfg.write_resolved(out)
     result = train_model(
         net,
         dataset,
@@ -111,6 +113,7 @@ def cmd_sample(args) -> int:
     if mc.class_count:
         labels = rng.split("labels").integers(0, mc.class_count, (count,))
     samples = ddpm_sample(net, cfg.build_noise_schedule(), shape, rng.split("draws"), labels)
+    cfg.write_resolved(out)
     path = out / "samples.pswt"
     dump_tensor(samples, path)
     print(f"wrote {count} samples to {path}")
@@ -128,6 +131,7 @@ def cmd_diag_distance(args) -> int:
     )
     pooled = [r.d_row for r in records] + [r.d_col for r in records]
     hist = diagnostics.distance_histogram(pooled, buckets=cfg.diagnostics.distance_buckets)
+    cfg.write_resolved(out)
     path = diagnostics.write_distance_csv(out / "distance_hist.csv", hist)
     print(f"surveyed {len(records)} (layer, head, timestep) triples")
     print(f"mean row distance {np.mean([r.d_row for r in records]):.4f}, "
@@ -144,6 +148,8 @@ def cmd_diag_spectrum(args) -> int:
         radii, profile = diagnostics.feature_spectrum(features)
     else:
         net, _ = _model_from(cfg, args)
+        if not net.cfg.depth:
+            raise ConfigurationError("model has no blocks to inspect")
         rng = Rng(cfg.seed).split("diag-spectrum")
         dataset = cfg.build_dataset(rng.split("data"))
         images = dataset.batch(rng.split("batch"), min(cfg.training.batch_size, dataset.size))
@@ -154,12 +160,10 @@ def cmd_diag_spectrum(args) -> int:
         with no_grad():
             net.forward(Tensor(noisy), np.full(images.shape[0], t, dtype=np.int64), collect_tokens=grabbed)
         layer = net.cfg.depth // 2
-        if not grabbed:
-            print("error: model has no blocks to inspect", file=sys.stderr)
-            return 2
         source = f"block {layer} features at t={t}"
         radii, profile = diagnostics.feature_spectrum(grabbed[layer])
     hf = diagnostics.hf_band_fraction(profile)
+    cfg.write_resolved(out)
     path = diagnostics.write_spectrum_csv(out / "spectrum.csv", radii, profile)
     print(f"radial spectrum of {source}")
     print(f"high-frequency band fraction (outer half of bins): {hf:.4f}")
@@ -171,6 +175,7 @@ def cmd_flops(args) -> int:
     cfg, out = _setup(args)
     model_cfg = cfg.build_model_config()
     report = diagnostics.flops_report(model_cfg)
+    cfg.write_resolved(out)
     path = diagnostics.write_flops_csv(out / "flops.csv", report)
     print(f"# {report.conventions}")
     for row in report.rows:

@@ -174,12 +174,12 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
     c = math.sqrt(2.0 / math.pi)
     a = 0.044715
-    u = c * (x.data + a * x.data**3)
+    u = c * (x.data + a * (x.data * x.data * x.data))
     t = np.tanh(u)
     y = 0.5 * x.data * (1.0 + t)
 
     def backward(g):
-        du = c * (1.0 + 3.0 * a * x.data**2)
+        du = c * (1.0 + 3.0 * a * (x.data * x.data))
         dy = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
         return (g * dy,)
 

@@ -7,9 +7,12 @@ order via a GradTape and accumulates ``.grad`` arrays on every tensor
 that participated with ``requires_grad=True``.
 
 Debug-level finite checks are on by default: any op producing NaN/Inf
-raises NumericsError immediately.  Flip them off with
-``set_debug_checks(False)`` when chasing performance (there is not much
-to chase; this is a desk-scale reference, not a training framework).
+raises NumericsError immediately.  ``set_debug_checks(False)`` turns them
+off.  They cost a visible share: timed in alternation with checks off
+(f64, default config, 2-core x86, NumPy 2.4), a split train step took
+0.87x as long, a batch-16 forward 0.84x and a 4-image sample 0.80x.  They
+stay on by default; ROADMAP.md item 2 ("check numerics once") describes
+checking once per step instead of once per op.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """End-to-end acceptance checks, one test per guarantee the package makes.
 
 Each test prints its own PASS/FAIL line via the conftest hook.  The
-comparative-training check is the slow one (~2 minutes); everything else
+comparative-training check is the slow one (~90 seconds); everything else
 is seconds.
 """
 

@@ -196,7 +196,7 @@ def test_diag_spectrum_refuses_bad_tensor(tmp_path, capsys, features, code):
     out = tmp_path / "spec"
     assert main(["diag-spectrum", "--input", str(blob), "--out", str(out)]) == code
     assert "Traceback" not in capsys.readouterr().err
-    assert not (out / "spectrum.csv").exists()
+    assert not out.exists()
 
 
 def test_diag_spectrum_from_model(tiny_config, tmp_path):
@@ -221,6 +221,15 @@ def test_flops_report_and_measured_cross_check(tiny_config, tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
+
+def _patched(tiny_config, tmp_path, patch):
+    raw = json.loads(tiny_config.read_text())
+    for section, values in patch.items():
+        raw.setdefault(section, {}).update(values)
+    path = tmp_path / "patched.json"
+    path.write_text(json.dumps(raw))
+    return path
+
 
 @pytest.mark.parametrize("argv, patch, key", [
     pytest.param(["train"], {"model": {"f_strat": 0.5}}, "f_strat", id="unknown_key"),
@@ -252,19 +261,59 @@ def test_flops_report_and_measured_cross_check(tiny_config, tmp_path, capsys):
     pytest.param(["train", "--seed", "-3"], {}, "seed", id="seed_override_negative"),
     pytest.param(["sample", "--count", "-1"], {}, "count", id="count_override_negative"),
     pytest.param(["sample", "--count", "0"], {}, "count", id="count_override_0"),
+    # a model the diagnostic cannot inspect is refused before resolved_config.json is written
+    pytest.param(["diag-spectrum"], {"model": {"depth": 0}}, "no blocks to inspect", id="spectrum_depth_0"),
+    pytest.param(["diag-distance"], {"pcca": {"fractions": [0, 0]}}, "no layer has a window branch",
+                 id="distance_no_window"),
 ])
 def test_unknown_config_key_is_exit_2(tiny_config, tmp_path, capsys, argv, patch, key):
-    raw = json.loads(tiny_config.read_text())
-    for section, values in patch.items():
-        raw.setdefault(section, {}).update(values)
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(raw))
     out = tmp_path / "o"
-    assert main([*argv, "--config", str(bad), "--out", str(out)]) == 2
+    assert main([*argv, "--config", str(_patched(tiny_config, tmp_path, patch)), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert key in err
     assert "Traceback" not in err
     assert not out.exists()  # every check runs before the output directory is made
+
+
+@pytest.mark.parametrize("command, patch, torn, message", [
+    pytest.param("diag-spectrum", {"model": {"depth": 0}}, False, "no blocks to inspect", id="spectrum_depth_0"),
+    pytest.param("diag-distance", {"pcca": {"fractions": [0, 0]}}, False, "no layer has a window branch",
+                 id="distance_no_window"),
+    pytest.param("sample", {}, True, "torn or mixed checkpoint", id="sample_torn"),
+    pytest.param("sample", {"schedule": {"timesteps": 5}}, False, "schedule has 10", id="sample_short_schedule"),
+    pytest.param("sample", None, False, "manifest.json", id="sample_missing"),
+])
+def test_refused_checkpoint_creates_no_out(tiny_config, tmp_path, capsys, command, patch, torn, message):
+    ckpt = tmp_path / "nonexistent"
+    if patch is not None:
+        trained = tmp_path / "train"
+        assert main(["train", "--config", str(_patched(tiny_config, tmp_path, patch)), "--out", str(trained)]) == 0
+        ckpt = trained / "ckpt-final"
+    if torn:
+        dump = ckpt / "params.pswt"
+        raw = bytearray(dump.read_bytes())
+        raw[-1] ^= 0xFF  # same length, other values, old digest
+        dump.write_bytes(bytes(raw))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    assert main([command, "--config", str(tiny_config), "--ckpt", str(ckpt), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()  # resolved_config.json is written only once the inputs are read
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sample"], id="sample"),
+    pytest.param(["diag-distance"], id="diag_distance"),
+    pytest.param(["diag-spectrum"], id="diag_spectrum"),
+    pytest.param(["flops"], id="flops"),
+])
+def test_successful_run_echoes_resolved_config(tiny_config, tmp_path, argv):
+    out = tmp_path / "o"
+    assert main([*argv, "--config", str(tiny_config), "--out", str(out)]) == 0
+    expected = RunConfig.load(tiny_config).write_resolved(tmp_path / "expected")
+    assert (out / "resolved_config.json").read_bytes() == expected.read_bytes()
 
 
 def test_malformed_json_is_exit_2(tmp_path, capsys):

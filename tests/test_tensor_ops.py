@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -154,6 +155,28 @@ def test_gelu_silu_fixed_points():
     big = Tensor([20.0, -20.0])
     np.testing.assert_allclose(ops.gelu(big).data, [20.0, 0.0], atol=1e-8)
     np.testing.assert_allclose(ops.silu(big).data, [20.0, 0.0], atol=1e-7)
+
+
+def _gelu_tanh_formula(x):
+    """GELU's tanh approximation and its derivative, restated with pow."""
+    c = math.sqrt(2.0 / math.pi)
+    a = 0.044715
+    t = np.tanh(c * (x + a * x**3))
+    dy = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * c * (1.0 + 3.0 * a * x**2)
+    return 0.5 * x * (1.0 + t), dy
+
+
+@pytest.mark.parametrize("precision, atol", [("f64", 1e-15), ("f32", 1e-6)])
+def test_gelu_matches_tanh_formula(precision, atol):
+    set_default_dtype(precision)
+    sweep = np.random.default_rng(19).uniform(-30.0, 30.0, 100_000)
+    x = Tensor(np.concatenate([sweep, [0.0, 1e-8, -1e-8]]), requires_grad=True)
+    y = ops.gelu(x)
+    (dy,) = y.node.backward(np.ones_like(y.data))
+    want_y, want_dy = _gelu_tanh_formula(x.data)
+    assert y.data.dtype == dy.dtype == want_y.dtype == x.data.dtype
+    np.testing.assert_allclose(y.data, want_y, rtol=0, atol=atol)
+    np.testing.assert_allclose(dy, want_dy, rtol=0, atol=atol)
 
 
 def test_depthwise_unit_kernel_is_bitexact_identity(np_rng):

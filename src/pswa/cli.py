@@ -12,7 +12,9 @@ usage or configuration.  Commands that write artifacts also write
 resolved_config.json into the output directory so every run records
 the exact configuration that produced it.  It is written only once the
 command has read its inputs (config, checkpoint, tensor file), so a run
-refused on its inputs creates no output directory.
+refused on its inputs creates no output directory.  With --ckpt but no
+--config, the run config comes from the checkpoint: the one `pswa train`
+recorded in it, else one fitted to its model's image size and timesteps.
 """
 
 from __future__ import annotations
@@ -25,18 +27,32 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics, gradsuite
-from .config import RunConfig
+from .config import RunConfig, ScheduleSection
 from .diffusion import ddpm_sample, q_sample, train_model
 from .errors import ConfigurationError, NumericsError, PSWAError
-from .model import ToyDiT, load_checkpoint
+from .model import ToyDiT, load_checkpoint, read_manifest
 from .numerics import Rng, Tensor, dump_tensor, load_tensor, no_grad, set_default_dtype
+
+
+def _base_config(args) -> RunConfig:
+    """--config; without it, what a --ckpt records: the run config `pswa
+    train` saves with it, else one fitted to its model (image size and
+    timesteps); without either, the defaults."""
+    if args.config:
+        return RunConfig.load(args.config)
+    if not getattr(args, "ckpt", None):
+        return RunConfig()
+    manifest, model = read_manifest(args.ckpt)
+    if "extra" in manifest:
+        return RunConfig.from_dict(manifest["extra"])
+    return RunConfig(model=model, schedule=ScheduleSection(timesteps=model.max_timesteps))
 
 
 def _setup(args) -> tuple[RunConfig, Path]:
     """Load the config and apply the command-line overrides, which pass the
     same checks as the file.  Nothing is written here: each command echoes
     the config with ``write_resolved`` after its inputs are read."""
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
+    cfg = _base_config(args)
     overrides = {k: v for k in ("seed", "precision") if (v := getattr(args, k, None)) is not None}
     cfg = dataclasses.replace(cfg, **overrides)
     if getattr(args, "count", None) is not None:

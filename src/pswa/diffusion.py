@@ -14,6 +14,7 @@ elapsed-time column is wall-clock and excluded from that promise.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 import time
@@ -25,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError, DimensionError, NumericsError
 from .model import ToyDiT, check_timesteps, save_checkpoint
-from .numerics import Rng, Tensor, default_dtype, no_grad, ops
+from .numerics import Rng, Tensor, debug_checks_enabled, default_dtype, no_grad, ops, set_debug_checks
 
 
 class NoiseSchedule:
@@ -144,7 +145,9 @@ def ddpm_sample(model: ToyDiT, schedule: NoiseSchedule, shape, rng: Rng, labels=
     """Ancestral sampling from pure noise down to t = 0.
 
     Deterministic given (rng stream, parameters): one draw for the
-    initial state, then one per strictly-positive timestep.  The noise
+    initial state, then one per strictly-positive timestep.  A non-finite
+    state after a step replays that step's forward with per-op checks on,
+    so the NumericsError names the first non-finite op.  The noise
     draws and the update arithmetic run in the default dtype, so an f32
     run samples in f32.  The schedule coefficients are Python floats:
     NumPy scalars of float64 would promote f32 arrays to float64.
@@ -157,7 +160,8 @@ def ddpm_sample(model: ToyDiT, schedule: NoiseSchedule, shape, rng: Rng, labels=
     x = rng.normal(shape).astype(dtype, copy=False)
     with no_grad():
         for t in range(schedule.timesteps - 1, -1, -1):
-            eps = model.forward(Tensor(x), np.full(shape[0], t, dtype=np.int64), labels).data
+            x_t, tt = x, np.full(shape[0], t, dtype=np.int64)
+            eps = model.forward(Tensor(x_t), tt, labels).data
             alpha, abar, beta = float(schedule.alphas[t]), float(schedule.alpha_bars[t]), float(schedule.betas[t])
             mean = (x - beta / math.sqrt(1.0 - abar) * eps) / math.sqrt(alpha)
             if t > 0:
@@ -165,7 +169,22 @@ def ddpm_sample(model: ToyDiT, schedule: NoiseSchedule, shape, rng: Rng, labels=
                 x = mean + math.sqrt(var) * rng.normal(shape).astype(dtype, copy=False)
             else:
                 x = mean
+            if not np.all(np.isfinite(x)):
+                with _op_checks():
+                    model.forward(Tensor(x_t), tt, labels)
+                raise NumericsError(f"ddpm_sample: non-finite state at timestep {t}, though no op was non-finite")
     return x
+
+
+@contextlib.contextmanager
+def _op_checks():
+    """Per-op finite checks on inside the block: the replay of a failed step."""
+    prev = debug_checks_enabled()
+    set_debug_checks(True)
+    try:
+        yield
+    finally:
+        set_debug_checks(prev)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +264,11 @@ def train_model(
 
     The metrics CSV has columns step,loss,lr,elapsed_ms; all but
     elapsed_ms are deterministic for a fixed seed/config on float64.
-    On a non-finite loss the loop dumps a checkpoint of the offending
-    state to <out_dir>/abort and re-raises.
+    A non-finite loss or leaf gradient stops the step before its update:
+    the step is replayed from its saved stream with per-op checks on, so
+    the NumericsError names the first non-finite op.  On any
+    NumericsError the loop dumps a checkpoint of the offending state to
+    <out_dir>/abort and re-raises.
     """
     if steps < 1:
         raise ConfigurationError(f"steps must be >= 1, got {steps}")
@@ -263,14 +285,22 @@ def train_model(
     step = 0
     try:
         for step in range(1, steps + 1):
-            batch = dataset.batch(stream, batch_size)
-            labels = stream.integers(0, model.cfg.class_count, (batch_size,)) if model.cfg.class_count else None
-            loss = training_loss(model, batch, schedule, stream, labels)
+            snapshot = stream.state_dict()
+            loss = _step_loss(model, dataset, schedule, stream, batch_size)
             value = loss.item()
-            if not np.isfinite(value):
-                raise NumericsError(f"loss became non-finite at step {step}: {value}")
             opt.zero_grad()
-            loss.backward()
+            finite = math.isfinite(value)
+            if finite:
+                loss.backward()
+                finite = all(p.grad is None or np.all(np.isfinite(p.grad)) for p in opt.params.values())
+            if not finite:
+                stream = Rng.from_state_dict(snapshot)
+                opt.zero_grad()
+                with _op_checks():
+                    _step_loss(model, dataset, schedule, stream, batch_size).backward()
+                raise NumericsError(
+                    f"loss or gradient became non-finite at step {step} (loss {value}), though no op was non-finite"
+                )
             opt.step()
             losses.append(value)
             rows.append((step, value, lr, (time.perf_counter() - start) * 1e3))
@@ -290,6 +320,13 @@ def train_model(
         metrics_path = _write_metrics(out_path / "metrics.csv", rows)
         ckpt_dir = save_checkpoint(out_path / "ckpt-final", model, steps, stream, extra=run_config)
     return TrainResult(steps=steps, losses=losses, metrics_path=metrics_path, checkpoint_dir=ckpt_dir)
+
+
+def _step_loss(model: ToyDiT, dataset: ToyDataset, schedule: NoiseSchedule, stream: Rng, batch_size: int) -> Tensor:
+    """One step's batch, labels and loss, drawn from ``stream`` in a fixed order."""
+    batch = dataset.batch(stream, batch_size)
+    labels = stream.integers(0, model.cfg.class_count, (batch_size,)) if model.cfg.class_count else None
+    return training_loss(model, batch, schedule, stream, labels)
 
 
 def _write_metrics(path: Path, rows) -> Path:

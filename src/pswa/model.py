@@ -398,14 +398,9 @@ def save_checkpoint(directory, model: ToyDiT, step: int, rng: Rng, extra: Option
     return directory
 
 
-def load_checkpoint(directory):
-    """Read a checkpoint directory -> (manifest, rebuilt ToyDiT, Rng).
-
-    The manifest's config echo rebuilds the model and fixes every name and shape; params.pswt must
-    match its sha256 and hold those values in the run's dtype.  The Rng resumes where it was saved.
-    """
-    directory = Path(directory)
-    path = directory / "manifest.json"
+def read_manifest(directory) -> tuple[dict, ToyDiTConfig]:
+    """Read and check a checkpoint's manifest.json -> (manifest, the model config it records)."""
+    path = Path(directory) / "manifest.json"
     try:
         manifest = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -415,7 +410,18 @@ def load_checkpoint(directory):
     missing = sorted({"model_config", "rng", "params_sha256"} - set(manifest))
     if missing:
         raise ConfigurationError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
-    cfg = ToyDiTConfig(**read_fields(ToyDiTConfig, manifest["model_config"], "model_config"))
+    return manifest, ToyDiTConfig(**read_fields(ToyDiTConfig, manifest["model_config"], "model_config"))
+
+
+def load_checkpoint(directory):
+    """Read a checkpoint directory -> (manifest, rebuilt ToyDiT, Rng).
+
+    The manifest's config echo rebuilds the model and fixes every name and shape; params.pswt must
+    match its sha256 and hold those values in the run's dtype.  The Rng resumes where it was saved.
+    """
+    directory = Path(directory)
+    path = directory / "manifest.json"
+    manifest, cfg = read_manifest(directory)
     try:
         rng = Rng.from_state_dict(manifest["rng"])
     except (LookupError, TypeError, ValueError, OverflowError) as exc:

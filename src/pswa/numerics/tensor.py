@@ -6,13 +6,15 @@ OpNode records; ``Tensor.backward()`` replays it in reverse topological
 order via a GradTape and accumulates ``.grad`` arrays on every tensor
 that participated with ``requires_grad=True``.
 
-Debug-level finite checks are on by default: any op producing NaN/Inf
-raises NumericsError immediately.  ``set_debug_checks(False)`` turns them
-off.  They cost a visible share: timed in alternation with checks off
-(f64, default config, 2-core x86, NumPy 2.4), a split train step took
-0.87x as long, a batch-16 forward 0.84x and a 4-image sample 0.80x.  They
-stay on by default; ROADMAP.md item 2 ("check numerics once") describes
-checking once per step instead of once per op.
+Finite checks run at the boundaries, not per op.  Always checked: a
+``Tensor(...)`` built from outside data and every ``assign_`` (the
+optimizer update).  ``train_model`` also checks the loss and every leaf
+gradient once per step, before the update, and ``ddpm_sample`` checks
+its state once per sampler step.  Per-op checks (each op's output and
+each gradient contribution) are off by default; ``set_debug_checks(True)``
+turns them on.  When a boundary check fails, the caller replays that
+step from its saved random stream with per-op checks on, so the
+NumericsError it raises names the first op that went non-finite.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from ..errors import DimensionError, NumericsError, UsageError
 _DTYPES = {"f64": np.float64, "f32": np.float32}
 
 _default_dtype = np.float64
-_debug_checks = True
+_debug_checks = False
 _grad_enabled = True
 
 
@@ -44,6 +46,7 @@ def default_dtype():
 
 
 def set_debug_checks(enabled: bool) -> None:
+    """Turn the per-op finite checks on or off (off by default)."""
     global _debug_checks
     _debug_checks = bool(enabled)
 
@@ -88,7 +91,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.ascontiguousarray(data, dtype=_default_dtype)
-        if _debug_checks and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NumericsError("tensor constructed with non-finite values")
         self.data: np.ndarray = arr
         self.requires_grad = bool(requires_grad)
@@ -147,7 +150,7 @@ class Tensor:
         arr = np.asarray(new_data, dtype=self.data.dtype)
         if arr.shape != self.data.shape:
             raise DimensionError(f"assign_ shape mismatch: {arr.shape} vs {self.data.shape}")
-        if _debug_checks and not np.all(np.isfinite(arr)):
+        if not np.all(np.isfinite(arr)):
             raise NumericsError("assign_ with non-finite values")
         np.copyto(self.data, arr)
 

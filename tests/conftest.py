@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from pswa.numerics import set_debug_checks, set_default_dtype
+from pswa.numerics import debug_checks_enabled, set_debug_checks, set_default_dtype
+
+_PACKAGE_DEBUG_CHECKS = debug_checks_enabled()  # read at import, before any test sets it
 
 
 @pytest.fixture(autouse=True)
 def _reset_numerics_state():
     set_default_dtype("f64")
-    set_debug_checks(True)
+    set_debug_checks(_PACKAGE_DEBUG_CHECKS)
     yield
     set_default_dtype("f64")
-    set_debug_checks(True)
+    set_debug_checks(_PACKAGE_DEBUG_CHECKS)
 
 
 @pytest.fixture

@@ -156,6 +156,32 @@ def test_sample_checkpoint_precision_must_match(tiny_config, tmp_path, capsys):
     assert not (f32_again / "samples.pswt").exists()
 
 
+@pytest.mark.parametrize("command, artifact", [
+    pytest.param("sample", "samples.pswt", id="sample"),
+    pytest.param("diag-distance", "distance_hist.csv", id="diag_distance"),
+    pytest.param("diag-spectrum", "spectrum.csv", id="diag_spectrum"),
+])
+def test_checkpoint_without_config_brings_its_run_config(tiny_config, tmp_path, command, artifact):
+    # tiny_config is 8x8 with a 10-step schedule, where the defaults are 16x16 and 100 steps
+    trained = tmp_path / "train"
+    assert main(["train", "--config", str(tiny_config), "--out", str(trained)]) == 0
+    ckpt = trained / "ckpt-final"
+    out = tmp_path / "recorded"
+    assert main([command, "--ckpt", str(ckpt), "--out", str(out)]) == 0
+    assert (out / artifact).exists()
+    assert (out / "resolved_config.json").read_bytes() == (trained / "resolved_config.json").read_bytes()
+
+    # a checkpoint that records no run config (save_checkpoint without extra) is fitted to its model
+    manifest = json.loads((ckpt / "manifest.json").read_text())
+    del manifest["extra"]
+    (ckpt / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "fitted"
+    assert main([command, "--ckpt", str(ckpt), "--out", str(out)]) == 0
+    assert (out / artifact).exists()
+    resolved = json.loads((out / "resolved_config.json").read_text())
+    assert (resolved["model"]["image_h"], resolved["model"]["image_w"], resolved["schedule"]["timesteps"]) == (8, 8, 10)
+
+
 # ---------------------------------------------------------------------------
 # diagnostics commands
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ from pswa.diffusion import (
     training_loss,
 )
 from pswa.errors import ConfigurationError, DimensionError, DomainError, NumericsError, UsageError
-from pswa.model import ToyDiT, ToyDiTConfig
-from pswa.numerics import Rng, Tensor, no_grad, set_default_dtype
+from pswa.model import ToyDiT, ToyDiTConfig, load_checkpoint
+from pswa.numerics import Rng, Tensor, no_grad, ops, set_debug_checks, set_default_dtype
 
 
 def tiny_cfg(**kw):
@@ -280,16 +280,108 @@ def test_train_class_conditional_smoke():
     assert len(result.losses) == 2
 
 
-def test_train_divergence_aborts_with_checkpoint(tmp_path):
+def _diverge(out_dir, op_checks):
+    """The lr-10, weight-decay-1e6 run that blows up within 60 steps -> its NumericsError message."""
+    set_debug_checks(op_checks)
     model, dataset, schedule = tiny_setup()
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError) as info:
             train_model(
                 model, dataset, schedule, Rng(3), steps=60,
-                lr=10.0, weight_decay=1e6, batch_size=4, out_dir=tmp_path,
+                lr=10.0, weight_decay=1e6, batch_size=4, out_dir=out_dir,
             )
-    assert (tmp_path / "abort" / "manifest.json").exists()
-    assert (tmp_path / "metrics.csv").exists()
+    return str(info.value)
+
+
+def test_train_divergence_aborts_with_checkpoint(tmp_path):
+    # per-op checks off (the default) replay the failed step with them on, so
+    # both modes name the same op and abort with the same parameters
+    messages = [_diverge(tmp_path / str(on), on) for on in (False, True)]
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("op '")
+    for on in (False, True):
+        assert (tmp_path / str(on) / "abort" / "manifest.json").exists()
+        assert (tmp_path / str(on) / "metrics.csv").exists()
+    dumps = [(tmp_path / str(on) / "abort" / "params.pswt").read_bytes() for on in (False, True)]
+    assert dumps[0] == dumps[1]
+
+
+def test_non_finite_gradient_aborts_before_the_update(tmp_path, monkeypatch):
+    orig = ops.gelu
+
+    def inf_backward(x):
+        y = orig(x)
+        if y.node is not None:
+            inner = y.node.backward
+            y.node.backward = lambda g: tuple(c * np.inf for c in inner(g))
+        return y
+
+    monkeypatch.setattr(ops, "gelu", inf_backward)
+    model, dataset, schedule = tiny_setup()
+    before = {k: p.data.copy() for k, p in model.named_parameters().items()}
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericsError, match="op 'gelu' produced a non-finite gradient"):
+            train_model(model, dataset, schedule, Rng(3), steps=2, batch_size=4, out_dir=tmp_path)
+    _, aborted, _ = load_checkpoint(tmp_path / "abort")
+    for name, p in aborted.named_parameters().items():
+        np.testing.assert_array_equal(p.data, before[name])
+
+
+def _poison_first_forward(model):
+    """Make the model's first forward return inf, as a fault a replay cannot reproduce would."""
+    calls = []
+    forward = model.forward
+
+    def once(x, t, labels=None):
+        calls.append(t)
+        out = forward(x, t, labels)
+        return ops.scale(out, np.inf) if len(calls) == 1 else out
+
+    model.forward = once
+    return calls
+
+
+def test_train_names_the_step_when_the_replay_runs_clean():
+    model, dataset, schedule = tiny_setup()
+    calls = _poison_first_forward(model)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericsError, match=r"at step 1 \(loss inf\), though no op was non-finite"):
+            train_model(model, dataset, schedule, Rng(3), steps=2, batch_size=4)
+    assert len(calls) == 2  # the step and its replay
+    assert (calls[0] == calls[1]).all()  # the replay redraws the same timesteps
+
+
+def test_ddpm_sample_names_the_step_when_the_replay_runs_clean():
+    model, _, schedule = tiny_setup()
+    calls = _poison_first_forward(model)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NumericsError, match="non-finite state at timestep 9, though no op was non-finite"):
+            ddpm_sample(model, schedule, (2, 1, 8, 8), Rng(5))
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("op_checks", [False, True], ids=["off", "on"])
+def test_ddpm_sample_names_the_overflowing_op(op_checks):
+    set_debug_checks(op_checks)
+    model, _, schedule = tiny_setup()
+    w = model.named_parameters()["patch.w"]
+    w.assign_(np.full(w.shape, 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NumericsError, match="op 'matmul' produced non-finite values"):
+            ddpm_sample(model, schedule, (2, 1, 8, 8), Rng(5))
+
+
+def test_per_op_checks_change_no_number(tmp_path):
+    losses, samples = [], []
+    for on in (False, True):
+        set_debug_checks(on)
+        model, dataset, schedule = tiny_setup()
+        result = train_model(model, dataset, schedule, Rng(4), steps=3, lr=1e-3, batch_size=4, out_dir=tmp_path / str(on))
+        with open(result.metrics_path, newline="") as fh:
+            losses.append([row[1] for row in csv.reader(fh)])
+        samples.append(ddpm_sample(model, schedule, (2, 1, 8, 8), Rng(5)))
+    assert losses[0] == losses[1]  # the loss column as written, so bit for bit
+    assert samples[0].tobytes() == samples[1].tobytes()
 
 
 def test_train_rejects_bad_steps():

@@ -8,6 +8,7 @@ from pswa.errors import DimensionError, NumericsError, UsageError
 from pswa.numerics import (
     Rng,
     Tensor,
+    debug_checks_enabled,
     dump_tensor,
     gradcheck,
     load_tensor,
@@ -47,14 +48,25 @@ def test_non_finite_construction_rejected():
 
 
 def test_debug_checks_catch_overflow_in_ops():
+    assert not debug_checks_enabled()  # per-op checks are off unless asked for
     big = Tensor([1e308])
     with np.errstate(over="ignore"):
-        with pytest.raises(NumericsError):
-            ops.mul(big, big)
-        set_debug_checks(False)
         out = ops.mul(big, big)  # allowed when checks are off
-    assert np.isinf(out.data[0])
-    set_debug_checks(True)
+        assert np.isinf(out.data[0])
+        set_debug_checks(True)
+        with pytest.raises(NumericsError, match="op 'mul' produced non-finite values"):
+            ops.mul(big, big)
+
+
+def test_debug_checks_catch_non_finite_gradient():
+    a = Tensor([1.0], requires_grad=True)
+    y = ops.mul(a, Tensor([1e200]))
+    with np.errstate(over="ignore"):
+        y.backward(np.array([1e200]))  # unchecked: the contribution 1e400 lands in a.grad
+        assert np.isinf(a.grad[0])
+        set_debug_checks(True)
+        with pytest.raises(NumericsError, match="op 'mul' produced a non-finite gradient"):
+            y.backward(np.array([1e200]))
 
 
 def test_assign_only_on_leaves():
@@ -66,6 +78,9 @@ def test_assign_only_on_leaves():
     assert a.data.tolist() == [5.0, 6.0]
     with pytest.raises(DimensionError):
         a.assign_([1.0, 2.0, 3.0])
+    with pytest.raises(NumericsError, match="assign_ with non-finite values"):  # checked with per-op checks off
+        a.assign_([np.nan, 0.0])
+    assert a.data.tolist() == [5.0, 6.0]
 
 
 def test_backward_requires_scalar_without_seed():

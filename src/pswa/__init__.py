@@ -3,15 +3,16 @@
 A desk-scale reference implementation, built for inspection rather than
 speed: a small autodiff core over numpy, the split-channel block
 (window attention + depthwise-separable bridge), the progressive
-channel-coverage schedule, an order-K neighborhood similarity, a toy
-diffusion-transformer training harness, and the diagnostics (attention
-distance, radial spectra, FLOPs accounting) used to study all of it.
+channel-coverage schedule, a toy diffusion-transformer training
+harness, and the diagnostics (attention distance, radial spectra, FLOPs
+accounting) used to study all of it.  The bridge's depthwise
+correlation is the order-K neighborhood aggregation; dense attention
+is a window covering the whole grid.
 """
 
 from .attention import (
     AttentionParams,
     WindowSpec,
-    full_mhsa,
     relative_position_index,
     window_attention,
     window_merge,
@@ -23,7 +24,6 @@ from .block import (
     bridge_branch,
     channel_split,
     coverage_schedule,
-    kth_order_similarity,
     pswa_forward,
 )
 from .config import RunConfig
@@ -32,7 +32,6 @@ from .diagnostics import (
     FlopsRow,
     SurveyRecord,
     attention_distance,
-    attention_pair_flops,
     distance_histogram,
     distance_survey,
     feature_spectrum,

@@ -1,4 +1,4 @@
-"""Multi-head self-attention: full and windowed.
+"""Multi-head self-attention inside non-overlapping windows.
 
 Tokens are laid out row-major.  For a grid of width W, the token at
 flat index i sits at row ``i // W`` and column ``i - W * (i // W)``;
@@ -7,7 +7,8 @@ each window, so merging is the exact inverse permutation.
 
 The windowed path adds a learned relative-position bias to the logits
 before the row softmax: one scalar per head per (d_row, d_col) offset,
-looked up from a table of size (2*wh - 1) * (2*ww - 1).
+looked up from a table of size (2*wh - 1) * (2*ww - 1).  Dense attention
+is the window covering the whole grid ([B, N, C]: a [B, 1, N, C] grid).
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ class WindowSpec:
 # core attention
 # ---------------------------------------------------------------------------
 
-def _attend(tokens: Tensor, params: AttentionParams, bias: Tensor | None):
+def _attend(tokens: Tensor, params: AttentionParams, bias: Tensor):
     """Attention over [G, N, C] token groups; returns (out, maps)."""
     g, n, c = tokens.shape
     if c != params.channels:
@@ -138,21 +139,11 @@ def _attend(tokens: Tensor, params: AttentionParams, bias: Tensor | None):
     v = heads_first(ops.matmul(flat, params.w_v))
 
     logits = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
-    if bias is not None:
-        logits = ops.add(logits, bias)
-    maps = ops.softmax_rows(logits)
+    maps = ops.softmax_rows(ops.add(logits, bias))
 
     ctx = ops.transpose(ops.matmul(maps, v), (0, 2, 1, 3))  # [G, N, heads, d]
     out = ops.matmul(ops.reshape(ctx, (g * n, c)), params.w_o)
     return ops.reshape(out, (g, n, c)), maps
-
-
-def full_mhsa(x, params: AttentionParams):
-    """Dense self-attention over [B, N, C]; returns (out, maps [B,h,N,N])."""
-    x = as_tensor(x)
-    if x.ndim != 3:
-        raise DimensionError(f"full_mhsa expects [B, N, C], got {x.shape}")
-    return _attend(x, params, None)
 
 
 # ---------------------------------------------------------------------------

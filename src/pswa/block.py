@@ -18,13 +18,9 @@ model's allocation is `ToyDiTConfig.window_widths`, which reads either
 this schedule or the config's explicit fractions.  The order K sizes
 the bridge kernel, which the model builds with side 2K - 1: after one
 block, a channel routed through the bridge has mixed a Chebyshev-(K-1)
-neighborhood, the order-K neighborhood.
-
-`kth_order_similarity` is the scoring rule this layout approximates:
-instead of comparing single tokens q_i . k_j, compare alpha-weighted
-aggregations of the order-K neighborhoods around i and j, each one the
-bridge's depthwise correlation read at i or j.  Order 1 recovers the
-plain pairwise logit.
+neighborhood, the order-K neighborhood.  Read at position i, the
+bridge's depthwise correlation is the kernel-weighted sum over i's
+order-K neighborhood (zero off the grid): the order-K aggregation.
 """
 
 from __future__ import annotations
@@ -36,8 +32,8 @@ from typing import Optional
 import numpy as np
 
 from .attention import AttentionParams, WindowSpec, window_attention
-from .errors import ConfigurationError, DimensionError, DomainError
-from .numerics import Rng, Tensor, as_tensor, no_grad, ops
+from .errors import ConfigurationError, DimensionError
+from .numerics import Rng, Tensor, as_tensor, ops
 
 
 # ---------------------------------------------------------------------------
@@ -207,64 +203,3 @@ def coverage_schedule(
         widths.append(h)
         prev = h
     return tuple(widths)
-
-
-# ---------------------------------------------------------------------------
-# order-K similarity
-# ---------------------------------------------------------------------------
-
-def kth_order_similarity(
-    features,
-    i,
-    j,
-    order: int,
-    alpha: np.ndarray,
-    psi_features=None,
-    channels=None,
-) -> float:
-    """Inner product of alpha-aggregated order-K neighborhoods at i and j.
-
-    Each side's aggregation is `ops.depthwise_conv2d` with ``alpha`` as
-    kernel, read at one grid position: alpha is a [2K-1, 2K-1] stencil
-    shared across channels or [C, 2K-1, 2K-1] per channel, and positions
-    off the grid contribute zero, as in the bridge's padding.
-
-    The query side aggregates ``features`` ([H, W, C], Tensor or array)
-    around grid position i; the key side aggregates ``psi_features``
-    (default: the same map) around j, with the same stencil.
-    ``channels=(lo, hi)`` restricts the inner product to that channel
-    slice, e.g. the slice a schedule migrates between two layers.  With
-    order=1 and a unit stencil this is exactly the pairwise logit: feed
-    the query map and key map and the result is q_i . k_j.
-    """
-    if order < 1:
-        raise ConfigurationError(f"order must be >= 1, got {order}")
-    side = 2 * order - 1
-    alpha = np.asarray(alpha, dtype=np.float64)
-
-    def aggregate(maps, center) -> np.ndarray:
-        data = as_tensor(maps).data
-        if data.ndim != 3:
-            raise DimensionError(f"features must be [H, W, C], got {data.shape}")
-        height, width, chans = data.shape
-        if alpha.shape not in ((side, side), (chans, side, side)):
-            raise DimensionError(
-                f"alpha shape {alpha.shape} does not match neighborhood side {side} (expect [{side},{side}] or [C,{side},{side}])"
-            )
-        r, c = int(center[0]), int(center[1])
-        if not (0 <= r < height and 0 <= c < width):
-            raise DomainError(f"center {(r, c)} outside grid {height}x{width}")
-        with no_grad():
-            mixed = ops.depthwise_conv2d(data[None], np.broadcast_to(alpha, (chans, side, side)))
-        return mixed.data[0, r, c]
-
-    phi = aggregate(features, i)
-    psi = aggregate(psi_features if psi_features is not None else features, j)
-    if phi.shape != psi.shape:
-        raise DimensionError(f"query/key aggregations disagree: {phi.shape} vs {psi.shape}")
-    if channels is not None:
-        lo, hi = int(channels[0]), int(channels[1])
-        if not 0 <= lo <= hi <= phi.shape[0]:
-            raise DimensionError(f"channel slice [{lo}, {hi}) outside [0, {phi.shape[0]})")
-        phi, psi = phi[lo:hi], psi[lo:hi]
-    return float(phi @ psi)

@@ -262,11 +262,12 @@ def flops_report(cfg: ToyDiTConfig) -> FlopsReport:
     """Closed-form cost model for one batch-1 forward pass.
 
     Component rows per block: the q/k/v/out projections, the attention
-    pair terms (logits and value mixing, the only terms quadratic in
-    window size), the bridge depthwise and pointwise convs, the MLP,
-    and the per-sample modulation projection.  Patch embedding,
-    timestep MLP, and the output head are listed separately.  The total
-    equals what the instrumented counter reports for the same config.
+    pair terms (4 * N * w * h_l for w-token windows, the only terms
+    quadratic in window size; w = N is dense attention), the bridge
+    depthwise and pointwise convs, the MLP, and the per-sample
+    modulation projection.  Patch embedding, timestep MLP, and the
+    output head are listed separately.  The total equals what the
+    instrumented counter reports for the same config.
     """
     n = cfg.tokens
     d = cfg.d_model
@@ -295,23 +296,14 @@ def flops_report(cfg: ToyDiTConfig) -> FlopsReport:
     return FlopsReport(rows=rows, conventions=_CONVENTIONS)
 
 
-def attention_pair_flops(tokens: int, window_tokens: int, channels: int) -> int:
-    """Closed-form pair-interaction cost: 4 * N * w * C FLOPs.
-
-    ``window_tokens`` = N recovers dense attention, so the dense/window
-    ratio is exactly N / w.
-    """
-    return 4 * tokens * window_tokens * channels
-
-
-def measured_flops(model: ToyDiT, labels=None) -> int:
-    """Run one batch-1 forward under the instrumented counter."""
+def measured_flops(model: ToyDiT) -> int:
+    """Run one batch-1 forward under the instrumented counter: timestep 0,
+    and label 0 if the model is class-conditional."""
     cfg = model.cfg
     x = np.zeros((1, cfg.image_channels, cfg.image_h, cfg.image_w))
-    if cfg.class_count and labels is None:
-        labels = np.zeros(1, dtype=np.int64)
+    zero = np.zeros(1, dtype=np.int64)
     with no_grad(), count_flops() as counter:
-        model.forward(Tensor(x), np.zeros(1, dtype=np.int64), labels)
+        model.forward(Tensor(x), zero, zero if cfg.class_count else None)
     return counter.total
 
 

@@ -139,18 +139,6 @@ def _case_shape_plumbing(rng: Rng):
 
 # -- attention ----------------------------------------------------------------
 
-def _case_full_mhsa(rng: Rng):
-    params = attention.AttentionParams.create(8, 2, rng.split("params"), std=0.3)
-    x = _t(rng, "x", (2, 6, 8))
-    w = rng.split("w").normal((2, 6, 8))
-
-    def fn(x_, *_):
-        y, _maps = attention.full_mhsa(x_, params)
-        return _weighted(y, w)
-
-    return fn, [x, *params.parameters().values()]
-
-
 def _case_window_attention(rng: Rng):
     params = attention.AttentionParams.create(6, 2, rng.split("params"), std=0.3)
     spec = attention.WindowSpec(2, 2, _t(rng, "bias", (2, 9), std=0.2))
@@ -269,7 +257,6 @@ ALL_CASES = [
     GradCase("pointwise_conv2d", "numerics", OP_TOL, _case_pointwise),
     GradCase("gathers", "numerics", OP_TOL, _case_gathers),
     GradCase("shape_plumbing", "numerics", OP_TOL, _case_shape_plumbing),
-    GradCase("full_mhsa", "attention", OP_TOL, _case_full_mhsa),
     GradCase("window_attention", "attention", OP_TOL, _case_window_attention),
     GradCase("pswa_mixed", "pswa", OP_TOL, _case_pswa_mixed),
     GradCase("pswa_bridge_only", "pswa", OP_TOL, _case_bridge_only),

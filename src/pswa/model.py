@@ -327,7 +327,9 @@ class ToyDiT:
         if self.cfg.class_count:
             if labels is None:
                 raise UsageError("model was built with class conditioning; labels are required")
-            lab = np.asarray(labels, dtype=np.int64).reshape(-1)
+            lab = np.asarray(labels).reshape(-1)
+            if not np.issubdtype(lab.dtype, np.integer):
+                raise UsageError(f"labels must be integers, got dtype {lab.dtype}")
             if lab.size != batch:
                 raise DimensionError(f"got {lab.size} labels for batch {batch}")
             if lab.size and (lab.min() < 0 or lab.max() >= self.cfg.class_count):
@@ -407,9 +409,12 @@ def read_manifest(directory) -> tuple[dict, ToyDiTConfig]:
         raise ConfigurationError(f"checkpoint manifest {path} is not valid JSON: {exc}") from None
     if not isinstance(manifest, dict) or manifest.get("format") != 2:
         raise UsageError(f"{path} is not a format-2 checkpoint manifest")
-    missing = sorted({"model_config", "rng", "params_sha256"} - set(manifest))
+    missing = sorted({"step", "model_config", "rng", "params_sha256"} - set(manifest))
     if missing:
         raise ConfigurationError(f"checkpoint manifest {path} lacks {', '.join(missing)}")
+    step = manifest["step"]
+    if not isinstance(step, int) or isinstance(step, bool) or step < 0:
+        raise ConfigurationError(f"checkpoint manifest {path}: step must be an int >= 0, got {step!r}")
     return manifest, ToyDiTConfig(**read_fields(ToyDiTConfig, manifest["model_config"], "model_config"))
 
 

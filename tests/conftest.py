@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pswa.numerics import debug_checks_enabled, set_debug_checks, set_default_dtype
+from pswa.numerics import debug_checks_enabled, no_grad, ops, set_debug_checks, set_default_dtype
 
 _PACKAGE_DEBUG_CHECKS = debug_checks_enabled()  # read at import, before any test sets it
 
@@ -18,6 +18,18 @@ def _reset_numerics_state():
 @pytest.fixture
 def np_rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def bridge_correlation():
+    """[H, W, C] features correlated as the bridge does, with a shared
+    [k, k] or per-channel [C, k, k] stencil; off-grid taps are zero.
+    Read at a position, this is the alpha-weighted order-K aggregation."""
+    def correlate(feats, alpha):
+        stencil = np.broadcast_to(alpha, (feats.shape[-1], *alpha.shape[-2:]))
+        with no_grad():
+            return ops.depthwise_conv2d(feats[None], stencil).data[0]
+    return correlate
 
 
 def pytest_runtest_logreport(report):

@@ -19,12 +19,11 @@ from oracles import (
 )
 
 from pswa.attention import AttentionParams, WindowSpec, window_attention
-from pswa.block import BridgeParams, bridge_branch, kth_order_similarity
+from pswa.block import BridgeParams, bridge_branch
 from pswa.cli import main
 from pswa.config import RunConfig
 from pswa.diagnostics import (
     attention_distance,
-    attention_pair_flops,
     feature_spectrum,
     flops_report,
     hf_band_fraction,
@@ -112,31 +111,35 @@ def test_attention_distance_oracle_and_window_bound():
 
 
 # ---------------------------------------------------------------------------
-# 4. order-K neighborhoods and similarity vs brute force
+# 4. order-K similarity vs brute force, via the bridge's depthwise correlation
 # ---------------------------------------------------------------------------
 
-def test_neighborhood_and_similarity_oracles():
-    # every center, so each clipped edge and corner neighborhood is compared
+def test_neighborhood_and_similarity_oracles(bridge_correlation):
+    # read at i and j, the correlation is each side's alpha-weighted order-K
+    # aggregation, so its inner product is the order-K similarity; every
+    # center, so each clipped edge and corner neighborhood is compared
     gen = np.random.default_rng(2)
     for order in range(1, 6):
         side = 2 * order - 1
         for extents in [(16, 16), (5, 7), (1, 1), (16, 3)]:
             feats = gen.normal(size=(*extents, 2))
             alpha = gen.normal(size=(side, side))
+            agg = bridge_correlation(feats, alpha)
             for r in range(extents[0]):
                 for c in range(extents[1]):
                     i, j = (r, c), (extents[0] - 1 - r, c)
-                    got = kth_order_similarity(feats, i, j, order, alpha)
+                    got = float(agg[i] @ agg[j])
                     assert abs(got - brute_similarity(feats, i, j, order, alpha)) < 1e-12
 
     for order in (1, 2, 3):
         side = 2 * order - 1
         feats = gen.normal(size=(8, 8, 6))
         alpha = gen.normal(size=(side, side))
+        agg = bridge_correlation(feats, alpha)
         for _ in range(40):
             i = (int(gen.integers(8)), int(gen.integers(8)))
             j = (int(gen.integers(8)), int(gen.integers(8)))
-            got = kth_order_similarity(feats, i, j, order, alpha)
+            got = float(agg[i] @ agg[j])
             assert abs(got - brute_similarity(feats, i, j, order, alpha)) < 1e-12
 
     # order 1 with a unit stencil over projected maps is the plain logit
@@ -144,11 +147,13 @@ def test_neighborhood_and_similarity_oracles():
     x = gen.normal(size=(4, 4, 6))
     q = (x.reshape(16, 6) @ params.w_q.data).reshape(4, 4, 6)
     k = (x.reshape(16, 6) @ params.w_k.data).reshape(4, 4, 6)
+    unit = np.ones((1, 1))
+    q_agg, k_agg = bridge_correlation(q, unit), bridge_correlation(k, unit)
     for i_flat, j_flat in [(0, 15), (7, 7), (3, 12)]:
         i, j = divmod(i_flat, 4), divmod(j_flat, 4)
-        got = kth_order_similarity(q, i, j, 1, np.ones((1, 1)), psi_features=k)
-        want = float(q[i] @ k[j])
-        assert abs(got - want) < 1e-12
+        got = float(q_agg[i] @ k_agg[j])
+        assert abs(got - float(q[i] @ k[j])) < 1e-12
+        assert abs(got - brute_similarity(q, i, j, 1, unit, psi_features=k)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -178,21 +183,21 @@ def test_bridge_impulse_support_equals_neighborhood():
 # ---------------------------------------------------------------------------
 
 def test_flops_ratio_and_instrumented_agreement():
-    # dense/window pair cost ratio is exactly tokens / window size
-    for n, w, c in [(64, 4, 32), (256, 16, 64), (64, 64, 8), (36, 9, 12)]:
-        full, win = attention_pair_flops(n, n, c), attention_pair_flops(n, w, c)
-        assert full * w == win * n  # exact integer identity full/win == n/w
-
-    # same identity via the report rows on otherwise identical configs
-    base = dict(image_h=16, image_w=16, patch=2, d_model=16, depth=2,
-                num_heads=2, fractions=(0.5, 0.5), mlp_ratio=1.0)
-    windowed = flops_report(ToyDiTConfig(window=(2, 2), **base))
-    dense = flops_report(ToyDiTConfig(window=(8, 8), **base))
-    n, w = 64, 4
-    for l in range(2):
-        row_w = windowed.by_component()[f"block{l}.window_pairs"].flops
-        row_d = dense.by_component()[f"block{l}.window_pairs"].flops
-        assert row_d * w == row_w * n
+    # dense/window pair cost ratio is exactly tokens / window size, read off
+    # the report rows of otherwise identical configs; the dense config's
+    # window is the whole grid (a 1 x 16 grid is a plain token sequence)
+    for image_hw, windows in [((16, 16), [(1, 1), (2, 2), (2, 4), (4, 4)]), ((2, 32), [(1, 1), (1, 4), (1, 8)])]:
+        base = dict(image_h=image_hw[0], image_w=image_hw[1], patch=2, d_model=16, depth=2,
+                    num_heads=2, fractions=(0.5, 1.0), mlp_ratio=1.0)
+        grid = (image_hw[0] // 2, image_hw[1] // 2)
+        n = grid[0] * grid[1]
+        dense = flops_report(ToyDiTConfig(window=grid, **base)).by_component()
+        for wh, ww in windows:
+            windowed = flops_report(ToyDiTConfig(window=(wh, ww), **base)).by_component()
+            for l in range(2):
+                row_w = windowed[f"block{l}.window_pairs"].flops
+                row_d = dense[f"block{l}.window_pairs"].flops
+                assert row_w > 0 and row_d * (wh * ww) == row_w * n
 
     # the instrumented counter reproduces the closed form exactly
     configs = [

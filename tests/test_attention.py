@@ -5,7 +5,6 @@ from oracles import block_window_mask, expand_window_bias, masked_full_attention
 from pswa.attention import (
     AttentionParams,
     WindowSpec,
-    full_mhsa,
     relative_position_index,
     window_attention,
     window_merge,
@@ -86,28 +85,22 @@ def test_window_spec_validates_table_shape():
 # behavior
 # ---------------------------------------------------------------------------
 
-def test_full_mhsa_maps_are_row_stochastic(np_rng):
+def test_whole_grid_window_maps_are_row_stochastic(np_rng):
+    # dense attention is the window covering the whole grid, as the dense arm runs it
     params = make_params(8, 2, seed=0)
-    x = Tensor(np_rng.normal(size=(2, 6, 8)))
-    y, maps = full_mhsa(x, params)
-    assert y.shape == (2, 6, 8)
+    spec = make_spec(2, 3, 2, seed=0)
+    x = Tensor(np_rng.normal(size=(2, 2, 3, 8)))
+    y, maps = window_attention(x, params, spec)
+    assert y.shape == (2, 2, 3, 8)
     assert maps.shape == (2, 2, 6, 6)
     np.testing.assert_allclose(maps.data.sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_full_mhsa_matches_unmasked_oracle(np_rng):
-    for seed in range(5):
-        params = make_params(6, 3, seed=seed)
-        x = np_rng.normal(size=(2, 5, 6))
-        fast, _ = full_mhsa(Tensor(x), params)
-        slow = masked_full_attention_oracle(x, params, np.ones((5, 5), dtype=bool))
-        np.testing.assert_allclose(fast.data, slow, atol=1e-12)
 
 
 def test_window_attention_equals_masked_oracle_with_bias(np_rng):
     # the core equivalence: windowed fast path == dense oracle restricted
     # to a block-diagonal mask, including the relative-position bias
-    for wh, ww, h, w, c, heads in [(2, 2, 4, 4, 6, 2), (1, 1, 3, 3, 4, 1), (2, 4, 4, 8, 8, 4)]:
+    # the last row's window is the whole grid: dense attention, bias included
+    for wh, ww, h, w, c, heads in [(2, 2, 4, 4, 6, 2), (1, 1, 3, 3, 4, 1), (2, 4, 4, 8, 8, 4), (4, 4, 4, 4, 6, 3)]:
         params = make_params(c, heads, seed=h * w + c)
         spec = make_spec(wh, ww, heads, seed=17 * wh + ww)
         x = np_rng.normal(size=(2, h, w, c))
@@ -150,9 +143,9 @@ def test_window_heads_mismatch_rejected(np_rng):
 
 def test_channel_mismatch_rejected():
     params = make_params(4, 2, seed=1)
-    with pytest.raises(DimensionError):
-        full_mhsa(Tensor(np.zeros((1, 5, 6))), params)
     spec = make_spec(2, 2, 2, seed=1)
+    with pytest.raises(DimensionError, match="token channels 6 != projection size 4"):
+        window_attention(Tensor(np.zeros((1, 4, 4, 6))), params, spec)
     with pytest.raises(DimensionError, match=r"\[B, H, W, C\], got \(4, 4, 4\)"):
         window_attention(Tensor(np.zeros((4, 4, 4))), params, spec)
     with pytest.raises(DimensionError, match=r"\[B, H, W, C\], got \(1, 4, 4, 4, 1\)"):

@@ -7,7 +7,6 @@ from oracles import brute_attention_distance, brute_radial_profile
 from pswa.diagnostics import (
     SPECTRUM_BINS,
     attention_distance,
-    attention_pair_flops,
     distance_histogram,
     distance_survey,
     feature_spectrum,
@@ -264,12 +263,6 @@ def test_measured_flops_equals_closed_form():
     for cfg in [tiny_cfg(), tiny_cfg(fractions=(0.0, 1.0)), tiny_cfg(depth=1, class_count=3)]:
         model = ToyDiT(cfg, Rng(1))
         assert measured_flops(model) == flops_report(cfg).total_flops
-
-
-def test_pair_flops_ratio_is_token_over_window():
-    n, w, c = 64, 4, 32
-    assert attention_pair_flops(n, n, c) % attention_pair_flops(n, w, c) == 0
-    assert attention_pair_flops(n, n, c) // attention_pair_flops(n, w, c) == n // w
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,10 @@ def test_class_conditioning_contract(np_rng):
         cond.forward(x, 0, labels=np.array([0, 3]))
     with pytest.raises(DimensionError):
         cond.forward(x, 0, labels=np.array([0]))
+    # a float or bool label is refused, not truncated to an int
+    for bad in ([1.7, 0.2], [True, False]):
+        with pytest.raises(UsageError, match="labels must be integers"):
+            cond.forward(x, 0, labels=bad)
     out = cond.forward(x, 0, labels=np.array([2, 0]))
     assert out.shape == (2, 1, 8, 8)
     # at init the zero modulation hides the conditioning; the vector
@@ -296,6 +300,10 @@ def _redumped(values, record_digest=True):
     pytest.param(_edited(lambda d: d["rng"]["philox"].update(buffer_pos=99)), ConfigurationError, "rng is not", id="rng_buffer_pos_99"),
     pytest.param(_edited(lambda d: d["rng"]["philox"].update(has_uint32=7)), ConfigurationError, "rng is not", id="rng_has_uint32_7"),
     pytest.param(_edited(lambda d: d.pop("params_sha256")), ConfigurationError, "params_sha256", id="no_digest"),
+    pytest.param(_edited(lambda d: d.update(step="x")), ConfigurationError, "step must be", id="step_str"),
+    pytest.param(_edited(lambda d: d.pop("step")), ConfigurationError, "lacks step", id="step_missing"),
+    pytest.param(_edited(lambda d: d.update(step=-1)), ConfigurationError, "step must be", id="step_negative"),
+    pytest.param(_edited(lambda d: d.update(step=True)), ConfigurationError, "step must be", id="step_bool"),
     pytest.param(_redumped(lambda flat: flat[:-1]), ConfigurationError, "float64, but", id="dump_short"),
     pytest.param(_redumped(lambda flat: flat.astype(np.float32)), ConfigurationError, "float32, but", id="dump_f32"),
     pytest.param(_redumped(lambda flat: flat + 1.0, record_digest=False), ConfigurationError, "sha256", id="dump_torn"),

@@ -9,10 +9,9 @@ from pswa.block import (
     bridge_branch,
     channel_split,
     coverage_schedule,
-    kth_order_similarity,
     pswa_forward,
 )
-from pswa.errors import ConfigurationError, DimensionError, DomainError
+from pswa.errors import ConfigurationError, DimensionError
 from pswa.model import ToyDiT, ToyDiTConfig
 from pswa.numerics import Rng, Tensor
 
@@ -209,42 +208,32 @@ def test_schedule_type_admits_nonmonotone_arms():
 
 
 # ---------------------------------------------------------------------------
-# order-K neighborhoods and similarity
+# order-K similarity: the bridge's depthwise correlation read at i and j
 # ---------------------------------------------------------------------------
 
-def test_neighborhood_rejects_offgrid_center(np_rng):
-    feats = np_rng.normal(size=(4, 4, 3))
-    alpha = np.ones((3, 3))
-    with pytest.raises(DomainError):
-        kth_order_similarity(feats, (4, 0), (1, 1), 2, alpha)
-    with pytest.raises(DomainError):
-        kth_order_similarity(feats, (1, 1), (0, -1), 2, alpha)
-    with pytest.raises(ConfigurationError, match="order must be"):
-        kth_order_similarity(feats, (0, 0), (1, 1), 0, alpha)
-
-
-def test_similarity_matches_brute(np_rng):
+def test_similarity_matches_brute(np_rng, bridge_correlation):
     for order in (1, 2, 3):
         side = 2 * order - 1
         feats = np_rng.normal(size=(6, 7, 5))
         alpha = np_rng.normal(size=(side, side))
+        agg = bridge_correlation(feats, alpha)
         for _ in range(20):
             i = (int(np_rng.integers(6)), int(np_rng.integers(7)))
             j = (int(np_rng.integers(6)), int(np_rng.integers(7)))
-            got = kth_order_similarity(feats, i, j, order, alpha)
             want = brute_similarity(feats, i, j, order, alpha)
-            assert abs(got - want) < 1e-12
+            assert abs(float(agg[i] @ agg[j]) - want) < 1e-12
 
 
-def test_similarity_per_channel_alpha_and_slices(np_rng):
+def test_similarity_per_channel_alpha_and_slices(np_rng, bridge_correlation):
     feats = np_rng.normal(size=(5, 5, 6))
     alpha = np_rng.normal(size=(6, 3, 3))
-    got = kth_order_similarity(feats, (2, 2), (1, 3), 2, alpha, channels=(2, 5))
+    agg = bridge_correlation(feats, alpha)
+    got = float(agg[2, 2, 2:5] @ agg[1, 3, 2:5])
     want = brute_similarity(feats, (2, 2), (1, 3), 2, alpha, channels=(2, 5))
     assert abs(got - want) < 1e-12
 
 
-def test_similarity_order1_unit_stencil_is_pairwise_logit(np_rng):
+def test_similarity_order1_unit_stencil_is_pairwise_logit(np_rng, bridge_correlation):
     # with K=1, a unit stencil, and separately projected q/k maps, the
     # similarity IS the attention logit q_i . k_j
     c, heads = 6, 2
@@ -252,33 +241,14 @@ def test_similarity_order1_unit_stencil_is_pairwise_logit(np_rng):
     x = np_rng.normal(size=(4, 4, c))
     q = x.reshape(16, c) @ params.w_q.data
     k = x.reshape(16, c) @ params.w_k.data
-    qmap, kmap = q.reshape(4, 4, c), k.reshape(4, 4, c)
     alpha = np.ones((1, 1))
+    q_agg = bridge_correlation(q.reshape(4, 4, c), alpha)
+    k_agg = bridge_correlation(k.reshape(4, 4, c), alpha)
+    d = c // heads
     for i_flat, j_flat in [(0, 5), (3, 3), (10, 15)]:
         i, j = divmod(i_flat, 4), divmod(j_flat, 4)
-        got = kth_order_similarity(qmap, i, j, 1, alpha, psi_features=kmap)
-        want = float(q[i_flat] @ k[j_flat])
-        assert abs(got - want) < 1e-12
+        assert abs(float(q_agg[i] @ k_agg[j]) - float(q[i_flat] @ k[j_flat])) < 1e-12
         # per-head logit: restrict to one head's projected slice
-        d = c // heads
-        got_h = kth_order_similarity(qmap, i, j, 1, alpha, psi_features=kmap, channels=(d, 2 * d))
-        want_h = float(q[i_flat, d:] @ k[j_flat, d:])
-        assert abs(got_h - want_h) < 1e-12
+        got_h = float(q_agg[i][d:2 * d] @ k_agg[j][d:2 * d])
+        assert abs(got_h - float(q[i_flat, d:2 * d] @ k[j_flat, d:2 * d])) < 1e-12
 
-
-def test_aggregate_rejects_bad_alpha(np_rng):
-    feats = np_rng.normal(size=(4, 4, 3))
-    with pytest.raises(DimensionError):
-        kth_order_similarity(feats, (1, 1), (2, 2), 2, np.ones((2, 2)))
-    with pytest.raises(DimensionError):
-        kth_order_similarity(feats, (1, 1), (2, 2), 2, np.ones((5, 3, 3)))
-    with pytest.raises(DimensionError):
-        kth_order_similarity(np_rng.normal(size=(4, 4)), (1, 1), (2, 2), 2, np.ones((3, 3)))
-
-
-def test_similarity_channel_slice_bounds(np_rng):
-    feats = np_rng.normal(size=(4, 4, 3))
-    with pytest.raises(DimensionError):
-        kth_order_similarity(feats, (0, 0), (1, 1), 1, np.ones((1, 1)), channels=(0, 4))
-    with pytest.raises(DimensionError):
-        kth_order_similarity(feats, (0, 0), (1, 1), 1, np.ones((1, 1)), channels=(2, 1))

@@ -20,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -381,12 +382,27 @@ class ToyDiT:
 # checkpoints
 # ---------------------------------------------------------------------------
 
+def _replace_with(path: Path, write) -> None:
+    """Call write(temp) on a temporary name beside path, then os.replace it onto path."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        write(temp)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def save_checkpoint(directory, model: ToyDiT, step: int, rng: Rng, extra: Optional[dict] = None) -> Path:
-    """Write params.pswt (the named_parameters() raveled into one 1-D dump), then manifest.json with its sha256."""
+    """Write params.pswt (the named_parameters() raveled into one 1-D dump), then manifest.json with its sha256.
+
+    Each file replaces its old copy in one rename, manifest last, so an interrupted save leaves either
+    the new pair or an old manifest whose digest refuses the new dump: never a torn file.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     dump = directory / "params.pswt"
-    dump_tensor(np.concatenate([t.data.ravel() for t in model.named_parameters().values()]), dump)
+    flat = np.concatenate([t.data.ravel() for t in model.named_parameters().values()])
+    _replace_with(dump, lambda temp: dump_tensor(flat, temp))
     manifest = {
         "format": 2,
         "step": int(step),
@@ -396,7 +412,8 @@ def save_checkpoint(directory, model: ToyDiT, step: int, rng: Rng, extra: Option
     }
     if extra:
         manifest["extra"] = extra
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    _replace_with(directory / "manifest.json", lambda temp: temp.write_text(text))
     return directory
 
 

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import ConfigurationError, DimensionError, NumericsError
+from ..errors import ConfigurationError, DimensionError, NumericsError, UsageError
 from . import flops as _flops
 from .tensor import OpNode, Tensor, as_tensor, grad_enabled
 from .tensor import debug_checks_enabled as _debug
@@ -315,7 +315,11 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     length may be zero; the result then has a zero extent on that axis.
     """
     x = as_tensor(x)
-    axis = int(axis)
+    for name, value in (("axis", axis), ("start", start), ("length", length)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise UsageError(f"narrow {name} must be an int, got {value!r}")
+    if not -x.data.ndim <= axis < x.data.ndim:
+        raise DimensionError(f"narrow axis {axis} out of range for rank {x.data.ndim}")
     extent = x.data.shape[axis]
     if start < 0 or length < 0 or start + length > extent:
         raise DimensionError(f"narrow [{start}:{start + length}] out of range for extent {extent} on axis {axis}")
@@ -361,10 +365,18 @@ def mean(x, axis=None, keepdims: bool = False) -> Tensor:
 # gathers (embeddings, bias tables)
 # ---------------------------------------------------------------------------
 
+def _int_index(index, op: str) -> np.ndarray:
+    """index as int64; a float or bool index is refused, not truncated (an empty one is kept)."""
+    idx = np.asarray(index)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise UsageError(f"{op} index must be integers, got {idx.dtype}")
+    return idx.astype(np.int64, copy=False)
+
+
 def gather_rows(table, index) -> Tensor:
     """table[index] along axis 0; index is a 1-D int array."""
     table = as_tensor(table)
-    idx = np.asarray(index, dtype=np.int64)
+    idx = _int_index(index, "gather_rows")
     if idx.ndim != 1:
         raise DimensionError(f"gather_rows expects a 1-D index, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[0]):
@@ -384,7 +396,7 @@ def gather_last(table, index) -> Tensor:
     table = as_tensor(table)
     if table.data.ndim != 2:
         raise DimensionError(f"gather_last expects a 2-D table, got {table.data.shape}")
-    idx = np.asarray(index, dtype=np.int64)
+    idx = _int_index(index, "gather_last")
     if idx.ndim != 1:
         raise DimensionError(f"gather_last expects a 1-D index, got shape {idx.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= table.data.shape[1]):

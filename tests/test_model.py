@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +256,32 @@ def test_checkpoint_roundtrip_bitexact(tmp_path, np_rng):
         assert (src[name].data == dst[name].data).all(), name
     # the resumed stream continues exactly where the saved one would have
     np.testing.assert_array_equal(resumed.normal((4,)), expected_next)
+
+
+def test_checkpoint_overwrite_is_atomic(tmp_path, monkeypatch):
+    ckpt = tmp_path / "ckpt"
+    save_checkpoint(ckpt, ToyDiT(tiny_cfg(), Rng(0)), step=1, rng=Rng(0))
+    save_checkpoint(ckpt, ToyDiT(tiny_cfg(), Rng(1)), step=2, rng=Rng(1))
+    assert {p.name for p in ckpt.iterdir()} == {"manifest.json", "params.pswt"}  # no temporary left behind
+    assert load_checkpoint(ckpt)[0]["step"] == 2
+    old_manifest = (ckpt / "manifest.json").read_text()
+
+    real_replace = os.replace
+
+    def failing_replace(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise OSError("injected failure at the manifest's replace")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="injected"):
+        save_checkpoint(ckpt, ToyDiT(tiny_cfg(), Rng(2)), step=3, rng=Rng(2))
+    monkeypatch.undo()
+    assert (ckpt / "manifest.json").read_text() == old_manifest  # the old manifest, still valid JSON
+    assert json.loads(old_manifest)["step"] == 2
+    assert {p.name for p in ckpt.iterdir()} == {"manifest.json", "params.pswt"}
+    with pytest.raises(ConfigurationError, match="sha256"):  # the new dump is refused, not loaded silently
+        load_checkpoint(ckpt)
 
 
 def _rewritten(corrupt_text):

@@ -1,9 +1,15 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pswa
 from pswa.errors import DimensionError, NumericsError, UsageError
 from pswa.numerics import (
     Rng,
@@ -257,6 +263,38 @@ def test_gather_rows_and_last(np_rng):
     np.testing.assert_array_equal(ops.gather_last(Tensor(table), jdx).data, table[:, jdx])
     with pytest.raises(DimensionError):
         ops.gather_rows(Tensor(table), np.array([3]))
+    assert ops.gather_rows(Tensor(table), []).shape == (0, 7)  # np.asarray([]) is float64, but empty
+    assert ops.gather_last(Tensor(table), []).shape == (3, 0)
+
+
+@pytest.mark.parametrize("gather", [ops.gather_rows, ops.gather_last])
+@pytest.mark.parametrize("index", [[1.7, True], [1.0], [True, False], np.array([0.0, 1.0])])
+def test_gather_refuses_non_integer_index(gather, index):
+    # np.asarray(index, dtype=np.int64) would read [1.7, True] as [1, 1]
+    with pytest.raises(UsageError, match="must be integers"):
+        gather(Tensor(np.eye(3)), index)
+
+
+def test_narrow_takes_a_negative_axis():
+    x = np.arange(12.0).reshape(3, 4)
+    np.testing.assert_array_equal(ops.narrow(Tensor(x), -1, 1, 2).data, x[:, 1:3])
+    np.testing.assert_array_equal(ops.narrow(Tensor(x), np.int64(-2), 1, 2).data, x[1:3])
+
+
+@pytest.mark.parametrize("args, error", [
+    ((2, 0, 1), DimensionError),
+    ((-3, 0, 1), DimensionError),
+    ((1, 1, 4), DimensionError),
+    ((1, -1, 1), DimensionError),
+    ((1.0, 0, 1), UsageError),
+    ((1, 0.5, 1), UsageError),
+    ((1, 0, 1.5), UsageError),
+    ((1, 0, True), UsageError),
+    ((1, "0", 1), UsageError),
+])
+def test_narrow_rejects_bad_arguments(args, error):
+    with pytest.raises(error):
+        ops.narrow(Tensor(np.zeros((3, 4))), *args)
 
 
 # ---------------------------------------------------------------------------
@@ -453,3 +491,61 @@ def test_f64_pipeline_bit_determinism():
         return ops.layernorm(y).data
 
     assert (run() == run()).all()
+
+
+# ---------------------------------------------------------------------------
+# allocator thresholds set at import (glibc only)
+# ---------------------------------------------------------------------------
+
+def _on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+glibc_only = pytest.mark.skipif(not _on_glibc(), reason="the malloc thresholds are set on glibc only")
+
+
+def _run_fresh(script, **env):
+    """Run script in a new interpreter that imports this checkout's pswa; env replaces every malloc setting."""
+    child = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    child.update(env, PYTHONPATH=str(Path(pswa.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=child,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.strip()
+
+
+@glibc_only
+def test_forward_only_process_does_not_fault_its_heap_back_in():
+    # Under glibc's default thresholds each batch-16 forward takes about 5,500 minor faults: the
+    # temporaries freed by one forward are trimmed from the heap and faulted back in by the next.
+    out = _run_fresh("""
+        import resource
+        import numpy as np
+        from pswa.model import ToyDiT, ToyDiTConfig
+        from pswa.numerics import MALLOC_TUNING, Rng, no_grad
+        assert dict(MALLOC_TUNING) == {"M_MMAP_THRESHOLD": 32 << 20, "M_TRIM_THRESHOLD": 256 << 20}
+        cfg = ToyDiTConfig()
+        model = ToyDiT(cfg, Rng(0))
+        x = np.random.default_rng(0).standard_normal((16, cfg.image_channels, cfg.image_h, cfg.image_w))
+        t = np.arange(16)
+        with no_grad():
+            for _ in range(3):
+                model.forward(x, t)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(10):
+                model.forward(x, t)
+        print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+    """)
+    assert float(out) < 500
+
+
+@glibc_only
+@pytest.mark.parametrize("env", [
+    {"MALLOC_TRIM_THRESHOLD_": "1000000"},
+    {"GLIBC_TUNABLES": "glibc.malloc.trim_threshold=1000000"},
+])
+def test_malloc_settings_from_the_environment_win(env):
+    assert _run_fresh("from pswa.numerics import MALLOC_TUNING; print(MALLOC_TUNING)", **env) == "None"

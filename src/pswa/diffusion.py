@@ -87,28 +87,29 @@ class ToyDataset:
         rng = rng if rng is not None else Rng(0)
         gen = rng.split("toy-dataset")
         images = np.empty((size, channels, height, width), dtype=np.float64)
+        grid = np.mgrid[0:height, 0:width]
         for i in range(size):
             g = gen.split(i)
             for c in range(channels):
-                images[i, c] = self._draw(g.split(c))
+                images[i, c] = self._draw(g.split(c), *grid)
         self.images = images
 
-    def _draw(self, g: Rng) -> np.ndarray:
+    def _draw(self, g: Rng, rr: np.ndarray, cc: np.ndarray) -> np.ndarray:
+        """One image; rr and cc hold each pixel's row and column."""
         h, w = self.height, self.width
         kind = int(g.integers(0, 4))
         amp = float(g.uniform(low=0.5, high=1.0))
         sign = 1.0 if int(g.integers(0, 2)) else -1.0
-        rr, cc = np.mgrid[0:h, 0:w]
         if kind == 0:  # vertical stripes
-            period = int(g.choice(np.array([2, 4])))
+            period = (2, 4)[int(g.integers(0, 2))]
             phase = int(g.integers(0, period))
             img = np.where(((cc + phase) // (period // 2 if period > 2 else 1)) % 2 == 0, amp, -amp)
         elif kind == 1:  # horizontal stripes
-            period = int(g.choice(np.array([2, 4])))
+            period = (2, 4)[int(g.integers(0, 2))]
             phase = int(g.integers(0, period))
             img = np.where(((rr + phase) // (period // 2 if period > 2 else 1)) % 2 == 0, amp, -amp)
         elif kind == 2:  # checkerboard
-            cell = int(g.choice(np.array([1, 2])))
+            cell = (1, 2)[int(g.integers(0, 2))]
             img = np.where(((rr // cell) + (cc // cell)) % 2 == 0, amp, -amp)
         else:  # rectangles on a flat background
             img = np.full((h, w), float(g.uniform(low=-1.0, high=-0.2)))
@@ -302,6 +303,7 @@ def train_model(
                     f"loss or gradient became non-finite at step {step} (loss {value}), though no op was non-finite"
                 )
             opt.step()
+            del loss  # this step's graph, so the next forward does not build its own beside it
             losses.append(value)
             rows.append((step, value, lr, (time.perf_counter() - start) * 1e3))
             if log_every and step % log_every == 0:

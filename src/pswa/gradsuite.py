@@ -58,6 +58,22 @@ def _case_matmul(rng: Rng):
     return (lambda a_, b_: _weighted(ops.matmul(a_, b_), w)), [a, b]
 
 
+def _case_linear(rng: Rng):
+    x = _t(rng, "x", (4, 3))
+    wgt = _t(rng, "wgt", (3, 5))
+    bias = _t(rng, "bias", (5,))
+    w = rng.split("w").normal((4, 5))
+    return (lambda x_, w_, b_: _weighted(ops.linear(x_, w_, b_), w)), [x, wgt, bias]
+
+
+def _case_modulate(rng: Rng):
+    x = _t(rng, "x", (2, 3, 3, 4))
+    shift = _t(rng, "shift", (2, 1, 1, 4))
+    scl = _t(rng, "scale", (2, 1, 1, 4))
+    w = rng.split("w").normal((2, 3, 3, 4))
+    return (lambda x_, sh_, sc_: _weighted(ops.modulate(x_, sh_, sc_), w)), [x, shift, scl]
+
+
 def _case_add_mul_broadcast(rng: Rng):
     a = _t(rng, "a", (2, 3, 4))
     b = _t(rng, "b", (1, 4))
@@ -135,6 +151,17 @@ def _case_shape_plumbing(rng: Rng):
         return _weighted(folded, w)
 
     return fn, [x, y]
+
+
+def _case_split(rng: Rng):
+    x = _t(rng, "x", (2, 6, 3))
+    ws = [rng.split(f"w{k}").normal((2, 2, 3)) for k in range(3)]
+
+    def fn(x_):
+        terms = [ops.reshape(_weighted(p, w), (1,)) for p, w in zip(ops.split(x_, 3, 1), ws)]
+        return ops.sum_(ops.concat(terms, 0))
+
+    return fn, [x]
 
 
 # -- attention ----------------------------------------------------------------
@@ -248,7 +275,9 @@ def _case_model_end_to_end(rng: Rng):
 
 ALL_CASES = [
     GradCase("matmul", "numerics", OP_TOL, _case_matmul),
+    GradCase("linear", "numerics", OP_TOL, _case_linear),
     GradCase("add_mul_broadcast", "numerics", OP_TOL, _case_add_mul_broadcast),
+    GradCase("modulate", "numerics", OP_TOL, _case_modulate),
     GradCase("softmax_rows", "numerics", OP_TOL, _case_softmax),
     GradCase("layernorm", "numerics", OP_TOL, _case_layernorm),
     GradCase("gelu", "numerics", OP_TOL, _case_gelu),
@@ -257,6 +286,7 @@ ALL_CASES = [
     GradCase("pointwise_conv2d", "numerics", OP_TOL, _case_pointwise),
     GradCase("gathers", "numerics", OP_TOL, _case_gathers),
     GradCase("shape_plumbing", "numerics", OP_TOL, _case_shape_plumbing),
+    GradCase("split", "numerics", OP_TOL, _case_split),
     GradCase("window_attention", "attention", OP_TOL, _case_window_attention),
     GradCase("pswa_mixed", "pswa", OP_TOL, _case_pswa_mixed),
     GradCase("pswa_bridge_only", "pswa", OP_TOL, _case_bridge_only),

@@ -141,7 +141,7 @@ def patchify(x, patch: int, weight: Tensor, bias: Tensor) -> Tensor:
     t = ops.reshape(x, (b, c, gh, patch, gw, patch))
     t = ops.transpose(t, (0, 2, 4, 1, 3, 5))  # [B, gh, gw, C, p, p]
     flat = ops.reshape(t, (b * gh * gw, c * patch * patch))
-    emb = ops.add(ops.matmul(flat, weight), bias)
+    emb = ops.linear(flat, weight, bias)
     return ops.reshape(emb, (b, gh, gw, weight.shape[1]))
 
 
@@ -203,17 +203,13 @@ def timestep_embedding(t, params: TimeEmbedParams, max_t: int) -> Tensor:
     sinusoid -> linear -> SiLU -> linear."""
     arr = check_timesteps(t, np.size(t), max_t)
     feats = Tensor(sinusoidal_features(arr, params.w1.shape[0]))
-    hidden = ops.silu(ops.add(ops.matmul(feats, params.w1), params.b1))
-    return ops.add(ops.matmul(hidden, params.w2), params.b2)
+    hidden = ops.silu(ops.linear(feats, params.w1, params.b1))
+    return ops.linear(hidden, params.w2, params.b2)
 
 
 # ---------------------------------------------------------------------------
 # one block
 # ---------------------------------------------------------------------------
-
-def _modulate(x: Tensor, shift: Tensor, scl: Tensor) -> Tensor:
-    return ops.add(ops.mul(x, ops.add(scl, 1.0)), shift)
-
 
 def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig):
     """Pre-norm residual block: modulated mixing stage, then modulated MLP.
@@ -230,19 +226,17 @@ def block_forward(x, cond, params: BlockParams, cfg: PSWALayerConfig):
     if cond.shape != (b, c):
         raise DimensionError(f"cond shape {cond.shape} != ({b}, {c})")
 
-    mod = ops.add(ops.matmul(cond, params.mod_w), params.mod_b)  # [B, 6C]
-    sh1, sc1, g1, sh2, sc2, g2 = (
-        ops.reshape(ops.narrow(mod, 1, k * c, c), (b, 1, 1, c)) for k in range(6)
-    )
+    mod = ops.reshape(ops.linear(cond, params.mod_w, params.mod_b), (b, 1, 1, 6 * c))
+    sh1, sc1, g1, sh2, sc2, g2 = ops.split(mod, 6, axis=3)  # each [B, 1, 1, C]
 
-    h = _modulate(ops.layernorm(x), sh1, sc1)
+    h = ops.modulate(ops.layernorm(x), sh1, sc1)
     h, maps = pswa_forward(h, cfg)
     x = ops.add(x, ops.mul(g1, h))
 
-    h = _modulate(ops.layernorm(x), sh2, sc2)
+    h = ops.modulate(ops.layernorm(x), sh2, sc2)
     flat = ops.reshape(h, (b * gh * gw, c))
-    hidden = ops.gelu(ops.add(ops.matmul(flat, params.mlp_w1), params.mlp_b1))
-    out = ops.add(ops.matmul(hidden, params.mlp_w2), params.mlp_b2)
+    hidden = ops.gelu(ops.linear(flat, params.mlp_w1, params.mlp_b1))
+    out = ops.linear(hidden, params.mlp_w2, params.mlp_b2)
     h = ops.reshape(out, (b, gh, gw, c))
     x = ops.add(x, ops.mul(g2, h))
     return x, maps
@@ -373,7 +367,7 @@ class ToyDiT:
                 collect_tokens.append(tokens)
         normed = ops.layernorm(tokens)
         flat = ops.reshape(normed, (b * cfg.tokens, cfg.d_model))
-        out = ops.add(ops.matmul(flat, self.head_w), self.head_b)
+        out = ops.linear(flat, self.head_w, self.head_b)
         out = ops.reshape(out, (b, cfg.grid_h, cfg.grid_w, cfg.patch_dim))
         return unpatchify(out, cfg.patch, cfg.image_channels)
 

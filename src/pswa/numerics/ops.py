@@ -105,6 +105,23 @@ def scale(a, c: float) -> Tensor:
     return _result(a.data * c, "scale", (a,), backward)
 
 
+def modulate(x, shift, scale) -> Tensor:
+    """x * (scale + 1) + shift, shift and scale broadcasting against x (adaLN
+    modulation): one node where add, mul and add made three."""
+    x, shift, scale = as_tensor(x), as_tensor(shift), as_tensor(scale)
+    gain = scale.data + 1.0
+    data = x.data * gain + shift.data
+
+    def backward(g):
+        return (
+            _unbroadcast(g * gain, x.data.shape),
+            _unbroadcast(g, shift.data.shape),
+            _unbroadcast(g * x.data, scale.data.shape),
+        )
+
+    return _result(data, "modulate", (x, shift, scale), backward)
+
+
 # ---------------------------------------------------------------------------
 # matmul
 # ---------------------------------------------------------------------------
@@ -127,6 +144,25 @@ def matmul(a, b) -> Tensor:
     return _result(data, "matmul", (a, b), backward)
 
 
+def linear(x, w, b) -> Tensor:
+    """x @ w + b for x [N, K], w [K, M], b [M]: one node where matmul and add made two.
+
+    Its FLOPs are metered as ``matmul``; the arithmetic, forward and backward, is that of the pair.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.data.shape[1] != w.data.shape[0]:
+        raise DimensionError(f"linear needs [N, K] @ [K, M], got {x.data.shape} @ {w.data.shape}")
+    if b.data.shape != (w.data.shape[1],):
+        raise DimensionError(f"linear bias shape {b.data.shape} != ({w.data.shape[1]},)")
+    data = x.data @ w.data + b.data
+    _flops.record("matmul", 2 * data.size * x.data.shape[1])
+
+    def backward(g):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
+
+    return _result(data, "linear", (x, w, b), backward)
+
+
 # ---------------------------------------------------------------------------
 # nonlinearities / normalization
 # ---------------------------------------------------------------------------
@@ -134,13 +170,16 @@ def matmul(a, b) -> Tensor:
 def softmax_rows(x) -> Tensor:
     """Numerically stable softmax along the last axis."""
     x = as_tensor(x)
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = x.data - x.data.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
+        dx = g * y
+        inner = dx.sum(axis=-1, keepdims=True)
+        np.subtract(g, inner, out=dx)
+        dx *= y
+        return (dx,)
 
     return _result(y, "softmax_rows", (x,), backward)
 
@@ -155,16 +194,18 @@ def layernorm(x) -> Tensor:
     shift after the norm.
     """
     x = as_tensor(x)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYERNORM_EPS)
-    xhat = xc * inv
+    xhat *= inv
 
     def backward(g):
-        mean_g = g.mean(axis=-1, keepdims=True)
-        mean_gx = (g * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (g - mean_g - xhat * mean_gx),)
+        dx = g * xhat
+        mean_gx = dx.mean(axis=-1, keepdims=True)
+        np.subtract(g, g.mean(axis=-1, keepdims=True), out=dx)
+        dx -= xhat * mean_gx
+        dx *= inv
+        return (dx,)
 
     return _result(xhat, "layernorm", (x,), backward)
 
@@ -174,14 +215,31 @@ def gelu(x) -> Tensor:
     x = as_tensor(x)
     c = math.sqrt(2.0 / math.pi)
     a = 0.044715
-    u = c * (x.data + a * (x.data * x.data * x.data))
-    t = np.tanh(u)
-    y = 0.5 * x.data * (1.0 + t)
+    xd = x.data
+    t = xd * xd
+    t *= xd
+    t *= a
+    t += xd
+    t *= c
+    np.tanh(t, out=t)  # tanh(c * (x + a * x^3))
+    y = 0.5 * xd
+    y *= 1.0 + t
 
     def backward(g):
-        du = c * (1.0 + 3.0 * a * (x.data * x.data))
-        dy = 0.5 * (1.0 + t) + 0.5 * x.data * (1.0 - t * t) * du
-        return (g * dy,)
+        du = xd * xd
+        du *= 3.0 * a
+        du += 1.0
+        du *= c  # c * (1 + 3a * x^2)
+        sech2 = t * t
+        np.subtract(1.0, sech2, out=sech2)
+        rest = 0.5 * xd
+        rest *= sech2
+        rest *= du
+        dx = 1.0 + t
+        dx *= 0.5
+        dx += rest  # 0.5 * (1 + t) + 0.5 * x * (1 - t^2) * du
+        dx *= g
+        return (dx,)
 
     return _result(y, "gelu", (x,), backward)
 
@@ -200,6 +258,14 @@ def silu(x) -> Tensor:
 # ---------------------------------------------------------------------------
 # convolutions
 # ---------------------------------------------------------------------------
+
+def _pad_hw(a: np.ndarray, p: int) -> np.ndarray:
+    """[B, H, W, C] with p zeros on each side of H and W."""
+    b, h, w, c = a.shape
+    out = np.zeros((b, h + 2 * p, w + 2 * p, c), dtype=a.dtype)
+    out[:, p : p + h, p : p + w] = a
+    return out
+
 
 def depthwise_conv2d(x, kernels) -> Tensor:
     """Per-channel 2-D correlation with same-size zero padding.
@@ -220,7 +286,7 @@ def depthwise_conv2d(x, kernels) -> Tensor:
         raise ConfigurationError(f"depthwise kernel size must be odd, got {k}")
     p = k // 2
 
-    xp = np.pad(x.data, ((0, 0), (p, p), (p, p), (0, 0)))
+    xp = _pad_hw(x.data, p)
     out = np.zeros_like(x.data)
     for u in range(k):
         for v in range(k):
@@ -228,7 +294,7 @@ def depthwise_conv2d(x, kernels) -> Tensor:
     _flops.record("depthwise_conv2d", 2 * b * c * h * w * k * k)
 
     def backward(g):
-        gp = np.pad(g, ((0, 0), (p, p), (p, p), (0, 0)))
+        gp = _pad_hw(g, p)
         dx = np.zeros_like(x.data)
         dk = np.zeros_like(kernels.data)
         for u in range(k):
@@ -287,10 +353,9 @@ def transpose(x, axes) -> Tensor:
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"transpose axes {axes} invalid for rank {x.data.ndim}")
-    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        return (np.transpose(g, inverse),)
+        return (np.transpose(g, np.argsort(axes)),)
 
     return _result(np.transpose(x.data, axes), "transpose", (x,), backward)
 
@@ -315,14 +380,35 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
     length may be zero; the result then has a zero extent on that axis.
     """
     x = as_tensor(x)
-    for name, value in (("axis", axis), ("start", start), ("length", length)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise UsageError(f"narrow {name} must be an int, got {value!r}")
-    if not -x.data.ndim <= axis < x.data.ndim:
-        raise DimensionError(f"narrow axis {axis} out of range for rank {x.data.ndim}")
+    _check_axis(x, "narrow", axis=axis, start=start, length=length)
     extent = x.data.shape[axis]
     if start < 0 or length < 0 or start + length > extent:
         raise DimensionError(f"narrow [{start}:{start + length}] out of range for extent {extent} on axis {axis}")
+    return _slice(x, axis, start, length, "narrow")
+
+
+def split(x, parts: int, axis: int) -> tuple:
+    """``parts`` equal contiguous slices along ``axis``, in order: one call for
+    what would take ``parts`` narrows."""
+    x = as_tensor(x)
+    _check_axis(x, "split", axis=axis, parts=parts)
+    extent = x.data.shape[axis]
+    if parts < 1 or extent % parts:
+        raise DimensionError(f"split of extent {extent} on axis {axis} into {parts} equal parts")
+    size = extent // parts
+    return tuple(_slice(x, axis, k * size, size, "split") for k in range(parts))
+
+
+def _check_axis(x: Tensor, op: str, axis, **counts) -> None:
+    """Every argument an int (not a bool), and axis inside [-ndim, ndim)."""
+    for name, value in {"axis": axis, **counts}.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise UsageError(f"{op} {name} must be an int, got {value!r}")
+    if not -x.data.ndim <= axis < x.data.ndim:
+        raise DimensionError(f"{op} axis {axis} out of range for rank {x.data.ndim}")
+
+
+def _slice(x: Tensor, axis: int, start: int, length: int, op: str) -> Tensor:
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
@@ -332,7 +418,7 @@ def narrow(x, axis: int, start: int, length: int) -> Tensor:
         dx[index] = g
         return (dx,)
 
-    return _result(x.data[index], "narrow", (x,), backward)
+    return _result(x.data[index], op, (x,), backward)
 
 
 # ---------------------------------------------------------------------------

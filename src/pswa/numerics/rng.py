@@ -37,8 +37,15 @@ class Rng:
     def __init__(self, seed: int, _path: tuple = ()):
         self.seed = int(seed) & _MASK64
         self.path = tuple(_path)
-        key = np.array([self.seed, self.path[0] if self.path else 0], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
+        self._lazy_gen = None
+
+    @property
+    def _gen(self) -> np.random.Generator:
+        """The Philox generator, built on first use: many streams are only split, never drawn from."""
+        if self._lazy_gen is None:
+            key = np.array([self.seed, self.path[0] if self.path else 0], dtype=np.uint64)
+            self._lazy_gen = np.random.Generator(np.random.Philox(key=key))
+        return self._lazy_gen
 
     def split(self, tag) -> "Rng":
         """Derive an independent child stream keyed by ``tag``.
@@ -65,9 +72,6 @@ class Rng:
     def integers(self, low: int, high: int, shape=()) -> np.ndarray:
         """Uniform ints in [low, high)."""
         return self._gen.integers(low, high, size=shape)
-
-    def choice(self, options, shape=()):
-        return self._gen.choice(options, size=shape)
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -3,8 +3,13 @@
 A Tensor wraps a contiguous row-major numpy array (float64 by default,
 float32 opt-in).  Ops in :mod:`pswa.numerics.ops` build a graph of
 OpNode records; ``Tensor.backward()`` replays it in reverse topological
-order via a GradTape and accumulates ``.grad`` arrays on every tensor
-that participated with ``requires_grad=True``.
+order via a GradTape and accumulates ``.grad`` arrays on the leaves only:
+the tensors built with ``requires_grad=True`` (parameters, inputs), not
+the op outputs between them.  An intermediate's gradient is dropped as
+soon as its op's vjp has read it, so a backward holds the graph plus the
+gradients still in flight, not a second copy of every activation.  The
+graph itself lives as long as the output tensor does: a training loop
+that drops its loss after the update keeps one step's graph at a time.
 
 Finite checks run at the boundaries, not per op.  Always checked: a
 ``Tensor(...)`` built from outside data and every ``assign_`` (the
@@ -201,9 +206,9 @@ class GradTape:
             g = grads.pop(id(t), None)
             if g is None:
                 continue  # reachable but received no gradient
-            if t.requires_grad:
-                t.grad = g if t.grad is None else t.grad + g
-            if t.node is None:
+            if t.node is None:  # a leaf: the only tensors that keep .grad
+                if t.requires_grad:
+                    t.grad = g if t.grad is None else t.grad + g
                 continue
             contribs = t.node.backward(g)
             if len(contribs) != len(t.node.parents):

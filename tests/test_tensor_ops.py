@@ -297,6 +297,54 @@ def test_narrow_rejects_bad_arguments(args, error):
         ops.narrow(Tensor(np.zeros((3, 4))), *args)
 
 
+def _split_by_narrow(x):
+    return tuple(ops.narrow(x, 1, 2 * k, 2) for k in range(3))
+
+
+@pytest.mark.parametrize("precision", ["f64", "f32"])
+@pytest.mark.parametrize("fused, composed, shapes", [
+    (ops.linear, lambda x, w, b: ops.add(ops.matmul(x, w), b), [(5, 3), (3, 4), (4,)]),
+    (ops.modulate, lambda x, sh, sc: ops.add(ops.mul(x, ops.add(sc, 1.0)), sh), [(2, 3, 3, 4), (2, 1, 1, 4), (2, 1, 1, 4)]),
+    (lambda x: ops.split(x, 3, 1), _split_by_narrow, [(2, 6, 3)]),
+], ids=["linear", "modulate", "split"])
+def test_coarse_ops_equal_their_composition_bitwise(precision, fused, composed, shapes):
+    set_default_dtype(precision)
+    arrays = [np.random.default_rng(5).normal(size=s) for s in shapes]
+    results = []
+    for op in (fused, composed):
+        weights = np.random.default_rng(6)  # the same output weights for both sides
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        out = op(*inputs)
+        pieces = out if isinstance(out, tuple) else (out,)
+        terms = [ops.reshape(_weighted(p, weights.normal(size=p.shape)), (1,)) for p in pieces]
+        ops.sum_(ops.concat(terms, 0)).backward()
+        results.append([p.data.tobytes() for p in pieces] + [t.grad.tobytes() for t in inputs])
+    assert results[0] == results[1]
+
+
+def test_linear_meters_matmul_flops_and_checks_shapes():
+    with count_flops() as counter:
+        ops.linear(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(4)))
+    assert counter.by_op == {"matmul": 2 * 5 * 4 * 3}
+    with pytest.raises(DimensionError):
+        ops.linear(Tensor(np.ones((5, 3))), Tensor(np.ones((2, 4))), Tensor(np.zeros(4)))
+    with pytest.raises(DimensionError):
+        ops.linear(Tensor(np.ones((5, 3))), Tensor(np.ones((3, 4))), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("args, error", [
+    ((4, 1), DimensionError),
+    ((3, 2), DimensionError),
+    ((0, 1), DimensionError),
+    ((True, 1), UsageError),
+    ((2.0, 1), UsageError),
+    ((2, 1.0), UsageError),
+])
+def test_split_rejects_bad_arguments(args, error):
+    with pytest.raises(error):
+        ops.split(Tensor(np.zeros((3, 6))), *args)
+
+
 # ---------------------------------------------------------------------------
 # gradients: finite differences on every exported op
 # ---------------------------------------------------------------------------

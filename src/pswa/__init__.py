@@ -11,7 +11,6 @@ is a window covering the whole grid.
 """
 
 from .attention import (
-    AttentionParams,
     WindowSpec,
     relative_position_index,
     window_attention,

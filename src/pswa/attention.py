@@ -14,56 +14,11 @@ is the window covering the whole grid ([B, N, C]: a [B, 1, N, C] grid).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DimensionError
 from .numerics import Rng, Tensor, as_tensor, ops, zeros
-
-
-@dataclass
-class AttentionParams:
-    """Projection weights for one attention operator.
-
-    All four matrices are [C, C] with C = num_heads * head_dim; head h
-    reads columns [h*head_dim, (h+1)*head_dim) of the projected values.
-    """
-
-    num_heads: int
-    w_q: Tensor
-    w_k: Tensor
-    w_v: Tensor
-    w_o: Tensor
-
-    def __post_init__(self):
-        if self.num_heads < 1:
-            raise ConfigurationError(f"num_heads must be >= 1, got {self.num_heads}")
-        c = self.w_q.shape[0] if self.w_q.ndim == 2 else -1
-        for name in ("w_q", "w_k", "w_v", "w_o"):
-            w = getattr(self, name)
-            if w.ndim != 2 or w.shape != (c, c):
-                raise DimensionError(f"{name} must be square [C,C]; got {w.shape}")
-        if c % self.num_heads != 0:
-            raise ConfigurationError(f"channels {c} not divisible by num_heads {self.num_heads}")
-
-    @property
-    def channels(self) -> int:
-        return self.w_q.shape[0]
-
-    @property
-    def head_dim(self) -> int:
-        return self.channels // self.num_heads
-
-    @classmethod
-    def create(cls, channels: int, num_heads: int, rng: Rng, std: float = 0.02) -> "AttentionParams":
-        def w(tag):
-            return Tensor(rng.split(tag).normal((channels, channels), std=std), requires_grad=True)
-
-        return cls(num_heads, w("w_q"), w("w_k"), w("w_v"), w("w_o"))
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {"w_q": self.w_q, "w_k": self.w_k, "w_v": self.w_v, "w_o": self.w_o}
 
 
 def relative_position_index(window_h: int, window_w: int) -> np.ndarray:
@@ -81,19 +36,33 @@ def relative_position_index(window_h: int, window_w: int) -> np.ndarray:
 
 
 class WindowSpec:
-    """Window geometry plus the learned relative-position bias table."""
+    """One window branch: its geometry, learned relative-position bias
+    table and q/k/v/o projections.
 
-    def __init__(self, window_h: int, window_w: int, bias_table: Tensor):
+    The table is [heads, (2*wh - 1) * (2*ww - 1)]: its rows are the head
+    count, which is stored nowhere else.  All four projections are [C, C]
+    with C = heads * head_dim; head h reads columns [h*head_dim,
+    (h+1)*head_dim) of the projected values.
+    """
+
+    def __init__(self, window_h: int, window_w: int, bias_table: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor):
         if window_h < 1 or window_w < 1:
             raise ConfigurationError(f"window extents must be >= 1, got {window_h}x{window_w}")
         table_cols = (2 * window_h - 1) * (2 * window_w - 1)
-        if bias_table.ndim != 2 or bias_table.shape[1] != table_cols:
+        if bias_table.ndim != 2 or bias_table.shape[0] < 1 or bias_table.shape[1] != table_cols:
             raise DimensionError(
-                f"bias table must be [heads, {table_cols}] for a {window_h}x{window_w} window; got {bias_table.shape}"
+                f"bias table must be [heads >= 1, {table_cols}] for a {window_h}x{window_w} window; got {bias_table.shape}"
             )
+        c = w_q.shape[0] if w_q.ndim == 2 else -1
+        for name, w in (("w_q", w_q), ("w_k", w_k), ("w_v", w_v), ("w_o", w_o)):
+            if w.ndim != 2 or w.shape != (c, c):
+                raise DimensionError(f"{name} must be square [C,C]; got {w.shape}")
+        if c % bias_table.shape[0]:
+            raise ConfigurationError(f"channels {c} not divisible by num_heads {bias_table.shape[0]}")
         self.window_h = int(window_h)
         self.window_w = int(window_w)
         self.bias_table = bias_table
+        self.w_q, self.w_k, self.w_v, self.w_o = w_q, w_k, w_v, w_o
         self._pair_index = relative_position_index(window_h, window_w)
 
     @property
@@ -104,10 +73,22 @@ class WindowSpec:
     def num_heads(self) -> int:
         return self.bias_table.shape[0]
 
+    @property
+    def channels(self) -> int:
+        return self.w_q.shape[0]
+
+    @property
+    def head_dim(self) -> int:
+        return self.channels // self.num_heads
+
     @classmethod
-    def create(cls, window_h: int, window_w: int, num_heads: int) -> "WindowSpec":
+    def create(cls, window_h: int, window_w: int, channels: int, num_heads: int, rng: Rng, std: float = 0.02) -> "WindowSpec":
+        """A zero bias table and N(0, std) projections, each drawn from ``rng.split(name)``."""
+        def w(tag):
+            return Tensor(rng.split(tag).normal((channels, channels), std=std), requires_grad=True)
+
         table = zeros((num_heads, (2 * window_h - 1) * (2 * window_w - 1)), requires_grad=True)
-        return cls(window_h, window_w, table)
+        return cls(window_h, window_w, table, w("w_q"), w("w_k"), w("w_v"), w("w_o"))
 
     def bias_matrix(self) -> Tensor:
         """[heads, wn, wn] additive logit bias (differentiable gather)."""
@@ -115,34 +96,38 @@ class WindowSpec:
         return ops.reshape(ops.gather_last(self.bias_table, self._pair_index), (self.num_heads, wn, wn))
 
     def parameters(self) -> dict[str, Tensor]:
-        return {"bias_table": self.bias_table}
+        """Under the names a model's parameters carry after ``blocks.{l}.``."""
+        return {
+            "win.bias_table": self.bias_table,
+            "attn.w_q": self.w_q, "attn.w_k": self.w_k, "attn.w_v": self.w_v, "attn.w_o": self.w_o,
+        }
 
 
 # ---------------------------------------------------------------------------
 # core attention
 # ---------------------------------------------------------------------------
 
-def _attend(tokens: Tensor, params: AttentionParams, bias: Tensor):
+def _attend(tokens: Tensor, spec: WindowSpec):
     """Attention over [G, N, C] token groups; returns (out, maps)."""
     g, n, c = tokens.shape
-    if c != params.channels:
-        raise DimensionError(f"token channels {c} != projection size {params.channels}")
-    heads, d = params.num_heads, params.head_dim
+    if c != spec.channels:
+        raise DimensionError(f"token channels {c} != projection size {spec.channels}")
+    heads, d = spec.num_heads, spec.head_dim
 
     flat = ops.reshape(tokens, (g * n, c))
 
     def heads_first(m):
         return ops.transpose(ops.reshape(m, (g, n, heads, d)), (0, 2, 1, 3))
 
-    q = heads_first(ops.matmul(flat, params.w_q))
-    k = heads_first(ops.matmul(flat, params.w_k))
-    v = heads_first(ops.matmul(flat, params.w_v))
+    q = heads_first(ops.matmul(flat, spec.w_q))
+    k = heads_first(ops.matmul(flat, spec.w_k))
+    v = heads_first(ops.matmul(flat, spec.w_v))
 
     logits = ops.scale(ops.matmul(q, ops.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(d))
-    maps = ops.softmax_rows(ops.add(logits, bias))
+    maps = ops.softmax_rows(ops.add(logits, spec.bias_matrix()))
 
     ctx = ops.transpose(ops.matmul(maps, v), (0, 2, 1, 3))  # [G, N, heads, d]
-    out = ops.matmul(ops.reshape(ctx, (g * n, c)), params.w_o)
+    out = ops.matmul(ops.reshape(ctx, (g * n, c)), spec.w_o)
     return ops.reshape(out, (g, n, c)), maps
 
 
@@ -182,16 +167,14 @@ def window_merge(windows, spec: WindowSpec, batch: int, height: int, width: int)
     return ops.reshape(t, (batch, height, width, c))
 
 
-def window_attention(x, params: AttentionParams, spec: WindowSpec):
+def window_attention(x, spec: WindowSpec):
     """Self-attention inside non-overlapping windows of a [B,H,W,C] grid.
 
     Logits get the window's relative-position bias before the softmax.
     Returns (out [B,H,W,C], maps [B*nW, heads, wn, wn]).
     """
     x = as_tensor(x)
-    if spec.num_heads != params.num_heads:
-        raise ConfigurationError(f"bias table has {spec.num_heads} heads, params have {params.num_heads}")
     wins = window_partition(x, spec)
     b, h, w, _ = x.shape
-    out, maps = _attend(wins, params, spec.bias_matrix())
+    out, maps = _attend(wins, spec)
     return window_merge(out, spec, b, h, w), maps

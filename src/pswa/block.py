@@ -8,9 +8,10 @@ A block splits the C channels of a [B, H, W, C] token grid at h:
     odd kernel (side 2K - 1) straddles window borders, so information
     crosses between adjacent windows through these channels instead.
 
-`PSWALayerConfig` owns one layer's mixing stage: the window geometry
-and both branches' parameters.  h and C are read off those parameters
-(h is the attention width), never stored beside them.
+`PSWALayerConfig` owns one layer's mixing stage: the window branch (a
+`WindowSpec`: geometry, bias table and projections) and the bridge's
+parameters.  h and C are read off those parameters (h is the attention
+width), never stored beside them.
 `coverage_schedule` generates the per-layer widths h_l and grows them
 with depth: early layers keep most channels on the local conv branch,
 late layers hand them to attention.  It returns a plain tuple; the
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionParams, WindowSpec, window_attention
+from .attention import WindowSpec, window_attention
 from .errors import ConfigurationError, DimensionError
 from .numerics import Rng, Tensor, as_tensor, ops
 
@@ -80,18 +81,15 @@ class PSWALayerConfig:
     cannot disagree with them; a branch of width 0 is None."""
 
     window_spec: Optional[WindowSpec]
-    attn: Optional[AttentionParams]
     bridge: Optional[BridgeParams]
 
     def __post_init__(self):
-        if (self.attn is None) != (self.window_spec is None):
-            raise ConfigurationError("attn and window_spec must be given together")
-        if self.attn is None and self.bridge is None:
+        if self.window_spec is None and self.bridge is None:
             raise ConfigurationError("a mixing stage needs a window branch, a bridge branch or both")
 
     @property
     def window_channels(self) -> int:
-        return self.attn.channels if self.attn is not None else 0
+        return self.window_spec.channels if self.window_spec is not None else 0
 
     @property
     def bridge_channels(self) -> int:
@@ -102,10 +100,9 @@ class PSWALayerConfig:
         return self.window_channels + self.bridge_channels
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, part in (("win", self.window_spec), ("attn", self.attn), ("bridge", self.bridge)):
-            if part is not None:
-                out.update({f"{prefix}.{k}": v for k, v in part.parameters().items()})
+        out = self.window_spec.parameters() if self.window_spec is not None else {}
+        if self.bridge is not None:
+            out.update({f"bridge.{k}": v for k, v in self.bridge.parameters().items()})
         return out
 
 
@@ -142,8 +139,8 @@ def pswa_forward(x, cfg: PSWALayerConfig):
     """
     y_win, y_bridge = channel_split(x, cfg)
     maps = None
-    if cfg.attn is not None:
-        y_win, maps = window_attention(y_win, cfg.attn, cfg.window_spec)
+    if cfg.window_spec is not None:
+        y_win, maps = window_attention(y_win, cfg.window_spec)
     if cfg.bridge is not None:
         y_bridge = bridge_branch(y_bridge, cfg.bridge)
     return ops.concat([y_win, y_bridge], axis=3), maps

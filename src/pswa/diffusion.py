@@ -100,14 +100,10 @@ class ToyDataset:
         kind = int(g.integers(0, 4))
         amp = float(g.uniform(low=0.5, high=1.0))
         sign = 1.0 if int(g.integers(0, 2)) else -1.0
-        if kind == 0:  # vertical stripes
+        if kind < 2:  # stripes: vertical (they vary along columns) for kind 0, horizontal for kind 1
             period = (2, 4)[int(g.integers(0, 2))]
             phase = int(g.integers(0, period))
-            img = np.where(((cc + phase) // (period // 2 if period > 2 else 1)) % 2 == 0, amp, -amp)
-        elif kind == 1:  # horizontal stripes
-            period = (2, 4)[int(g.integers(0, 2))]
-            phase = int(g.integers(0, period))
-            img = np.where(((rr + phase) // (period // 2 if period > 2 else 1)) % 2 == 0, amp, -amp)
+            img = np.where((((cc, rr)[kind] + phase) // (period // 2)) % 2 == 0, amp, -amp)
         elif kind == 2:  # checkerboard
             cell = (1, 2)[int(g.integers(0, 2))]
             img = np.where(((rr // cell) + (cc // cell)) % 2 == 0, amp, -amp)
@@ -263,8 +259,10 @@ def train_model(
 ) -> TrainResult:
     """Optimize the model; optionally write metrics.csv and checkpoints.
 
-    The metrics CSV has columns step,loss,lr,elapsed_ms; all but
-    elapsed_ms are deterministic for a fixed seed/config on float64.
+    The metrics CSV has columns step,loss,lr,elapsed_ms, one row written
+    and flushed as each step ends, so an interrupted run keeps the rows
+    of its finished steps; all but elapsed_ms are deterministic for a
+    fixed seed/config on float64.
     A non-finite loss or leaf gradient stops the step before its update:
     the step is replayed from its saved stream with per-op checks on, so
     the NumericsError names the first non-finite op.  On any
@@ -280,11 +278,15 @@ def train_model(
     opt = AdamW(model.named_parameters(), lr=lr, weight_decay=weight_decay)
     stream = rng.split("train")
     losses: list[float] = []
-    rows: list[tuple] = []
+    metrics_path = out_path / "metrics.csv" if out_path is not None else None
+    metrics = open(metrics_path, "w", newline="") if metrics_path is not None else None
+    writer = csv.writer(metrics) if metrics is not None else None
     start = time.perf_counter()
 
     step = 0
     try:
+        if writer is not None:
+            writer.writerow(["step", "loss", "lr", "elapsed_ms"])
         for step in range(1, steps + 1):
             snapshot = stream.state_dict()
             loss = _step_loss(model, dataset, schedule, stream, batch_size)
@@ -305,7 +307,9 @@ def train_model(
             opt.step()
             del loss  # this step's graph, so the next forward does not build its own beside it
             losses.append(value)
-            rows.append((step, value, lr, (time.perf_counter() - start) * 1e3))
+            if writer is not None:  # one row per step, flushed, so an interrupted run keeps its finished steps
+                writer.writerow([step, repr(float(value)), repr(float(lr)), f"{(time.perf_counter() - start) * 1e3:.3f}"])
+                metrics.flush()
             if log_every and step % log_every == 0:
                 print(f"step {step:6d}  loss {value:.6f}")
             if out_path is not None and checkpoint_every and step % checkpoint_every == 0:
@@ -313,13 +317,13 @@ def train_model(
     except NumericsError:
         if out_path is not None:
             save_checkpoint(out_path / "abort", model, step, stream, extra=run_config)
-            _write_metrics(out_path / "metrics.csv", rows)
         raise
+    finally:
+        if metrics is not None:
+            metrics.close()
 
-    metrics_path = None
     ckpt_dir = None
     if out_path is not None:
-        metrics_path = _write_metrics(out_path / "metrics.csv", rows)
         ckpt_dir = save_checkpoint(out_path / "ckpt-final", model, steps, stream, extra=run_config)
     return TrainResult(steps=steps, losses=losses, metrics_path=metrics_path, checkpoint_dir=ckpt_dir)
 
@@ -330,11 +334,3 @@ def _step_loss(model: ToyDiT, dataset: ToyDataset, schedule: NoiseSchedule, stre
     labels = stream.integers(0, model.cfg.class_count, (batch_size,)) if model.cfg.class_count else None
     return training_loss(model, batch, schedule, stream, labels)
 
-
-def _write_metrics(path: Path, rows) -> Path:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["step", "loss", "lr", "elapsed_ms"])
-        for step, value, lr, ms in rows:
-            writer.writerow([step, repr(float(value)), repr(float(lr)), f"{ms:.3f}"])
-    return path

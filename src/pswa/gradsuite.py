@@ -81,28 +81,14 @@ def _case_add_mul_broadcast(rng: Rng):
     return (lambda a_, b_: _weighted(ops.mul(ops.add(a_, b_), a_), w)), [a, b]
 
 
-def _case_softmax(rng: Rng):
-    x = _t(rng, "x", (3, 7), std=2.0)
-    w = rng.split("w").normal((3, 7))
-    return (lambda x_: _weighted(ops.softmax_rows(x_), w)), [x]
+def _unary(op: str, shape, std: float) -> Callable:
+    """A case for a shape-preserving op: x ~ N(0, std) from stream "x", output weights from "w"."""
+    def build(rng: Rng):
+        x = _t(rng, "x", shape, std=std)
+        w = rng.split("w").normal(shape)
+        return (lambda x_: _weighted(getattr(ops, op)(x_), w)), [x]
 
-
-def _case_layernorm(rng: Rng):
-    x = _t(rng, "x", (4, 6))
-    w = rng.split("w").normal((4, 6))
-    return (lambda x_: _weighted(ops.layernorm(x_), w)), [x]
-
-
-def _case_gelu(rng: Rng):
-    x = _t(rng, "x", (3, 5), std=2.0)
-    w = rng.split("w").normal((3, 5))
-    return (lambda x_: _weighted(ops.gelu(x_), w)), [x]
-
-
-def _case_silu(rng: Rng):
-    x = _t(rng, "x", (3, 5), std=2.0)
-    w = rng.split("w").normal((3, 5))
-    return (lambda x_: _weighted(ops.silu(x_), w)), [x]
+    return build
 
 
 def _case_depthwise(rng: Rng):
@@ -167,25 +153,24 @@ def _case_split(rng: Rng):
 # -- attention ----------------------------------------------------------------
 
 def _case_window_attention(rng: Rng):
-    params = attention.AttentionParams.create(6, 2, rng.split("params"), std=0.3)
-    spec = attention.WindowSpec(2, 2, _t(rng, "bias", (2, 9), std=0.2))
+    spec = attention.WindowSpec.create(2, 2, 6, 2, rng.split("params"), std=0.3)
+    spec.bias_table.assign_(rng.split("bias").normal((2, 9), std=0.2))
     x = _t(rng, "x", (1, 4, 4, 6))
     w = rng.split("w").normal((1, 4, 4, 6))
 
     def fn(x_, *_):
-        y, _maps = attention.window_attention(x_, params, spec)
+        y, _maps = attention.window_attention(x_, spec)
         return _weighted(y, w)
 
-    return fn, [x, spec.bias_table, *params.parameters().values()]
+    return fn, [x, *spec.parameters().values()]
 
 
 # -- the split block -----------------------------------------------------------
 
 def _case_pswa_mixed(rng: Rng):
-    attn = attention.AttentionParams.create(4, 1, rng.split("attn"), std=0.3)
-    spec = attention.WindowSpec(2, 2, _t(rng, "bias", (1, 9), std=0.2))
-    bridge = block.BridgeParams.create(4, 3, rng.split("bridge"), std=0.3)
-    cfg = block.PSWALayerConfig(spec, attn, bridge)
+    spec = attention.WindowSpec.create(2, 2, 4, 1, rng.split("attn"), std=0.3)
+    spec.bias_table.assign_(rng.split("bias").normal((1, 9), std=0.2))
+    cfg = block.PSWALayerConfig(spec, block.BridgeParams.create(4, 3, rng.split("bridge"), std=0.3))
     x = _t(rng, "x", (1, 4, 4, 8))
     w = rng.split("w").normal((1, 4, 4, 8))
 
@@ -198,7 +183,7 @@ def _case_pswa_mixed(rng: Rng):
 
 def _case_bridge_only(rng: Rng):
     bridge = block.BridgeParams.create(6, 3, rng.split("bridge"), std=0.3)
-    cfg = block.PSWALayerConfig(None, None, bridge)
+    cfg = block.PSWALayerConfig(None, bridge)
     x = _t(rng, "x", (2, 2, 4, 6))
     w = rng.split("w").normal((2, 2, 4, 6))
 
@@ -278,10 +263,10 @@ ALL_CASES = [
     GradCase("linear", "numerics", OP_TOL, _case_linear),
     GradCase("add_mul_broadcast", "numerics", OP_TOL, _case_add_mul_broadcast),
     GradCase("modulate", "numerics", OP_TOL, _case_modulate),
-    GradCase("softmax_rows", "numerics", OP_TOL, _case_softmax),
-    GradCase("layernorm", "numerics", OP_TOL, _case_layernorm),
-    GradCase("gelu", "numerics", OP_TOL, _case_gelu),
-    GradCase("silu", "numerics", OP_TOL, _case_silu),
+    GradCase("softmax_rows", "numerics", OP_TOL, _unary("softmax_rows", (3, 7), 2.0)),
+    GradCase("layernorm", "numerics", OP_TOL, _unary("layernorm", (4, 6), 1.0)),
+    GradCase("gelu", "numerics", OP_TOL, _unary("gelu", (3, 5), 2.0)),
+    GradCase("silu", "numerics", OP_TOL, _unary("silu", (3, 5), 2.0)),
     GradCase("depthwise_conv2d", "numerics", OP_TOL, _case_depthwise),
     GradCase("pointwise_conv2d", "numerics", OP_TOL, _case_pointwise),
     GradCase("gathers", "numerics", OP_TOL, _case_gathers),

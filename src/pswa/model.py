@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .attention import AttentionParams, WindowSpec
+from .attention import WindowSpec
 from .block import BridgeParams, PSWALayerConfig, _round_to_width, coverage_schedule, pswa_forward
 from .errors import ConfigurationError, DimensionError, DomainError, UsageError
 from .numerics import Rng, Tensor, as_tensor, default_dtype, dump_tensor, load_tensor, ops
@@ -272,11 +272,9 @@ class ToyDiT:
         wh, ww = cfg.window
         kernel = 2 * cfg.order - 1  # the bridge's reach matches the order-K neighborhood
         for l, h_l in enumerate(cfg.window_widths):
-            heads_l = h_l // cfg.head_dim
-            spec = WindowSpec.create(wh, ww, heads_l) if h_l else None
-            attn = AttentionParams.create(h_l, heads_l, init.split(f"blocks.{l}.attn")) if h_l else None
+            spec = WindowSpec.create(wh, ww, h_l, h_l // cfg.head_dim, init.split(f"blocks.{l}.attn")) if h_l else None
             bridge = BridgeParams.create(d - h_l, kernel, init.split(f"blocks.{l}.bridge")) if d - h_l else None
-            self.layer_configs.append(PSWALayerConfig(spec, attn, bridge))
+            self.layer_configs.append(PSWALayerConfig(spec, bridge))
             self.blocks.append(
                 BlockParams(
                     mlp_w1=normal(f"blocks.{l}.mlp.w1", (d, hidden)),

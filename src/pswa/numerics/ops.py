@@ -336,7 +336,7 @@ def pointwise_conv2d(x, weight, bias) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = as_tensor(x)
-    shape = tuple(int(s) for s in shape)
+    shape = _int_tuple(shape, "reshape", "shape")
     try:
         data = x.data.reshape(shape)
     except ValueError as exc:
@@ -350,7 +350,7 @@ def reshape(x, shape) -> Tensor:
 
 def transpose(x, axes) -> Tensor:
     x = as_tensor(x)
-    axes = tuple(int(a) for a in axes)
+    axes = _int_tuple(axes, "transpose", "axes")
     if sorted(axes) != list(range(x.data.ndim)):
         raise DimensionError(f"transpose axes {axes} invalid for rank {x.data.ndim}")
 
@@ -364,6 +364,10 @@ def concat(tensors: Sequence, axis: int) -> Tensor:
     tensors = [as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("concat of zero tensors")
+    _check_axis(tensors[0], "concat", axis)
+    ref, ax = tensors[0].data.shape, axis % tensors[0].data.ndim
+    if any(t.data.ndim != len(ref) or t.data.shape[:ax] + t.data.shape[ax + 1:] != ref[:ax] + ref[ax + 1:] for t in tensors):
+        raise DimensionError(f"concat on axis {axis} needs equal ranks and other extents, got {[t.shape for t in tensors]}")
     data = np.concatenate([t.data for t in tensors], axis=axis)
     sizes = [t.data.shape[axis] for t in tensors]
     offsets = np.cumsum(sizes)[:-1]
@@ -399,10 +403,21 @@ def split(x, parts: int, axis: int) -> tuple:
     return tuple(_slice(x, axis, k * size, size, "split") for k in range(parts))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _int_tuple(values, op: str, name: str) -> tuple:
+    """A tuple or list of ints (no bools, no floats) as a tuple of Python ints."""
+    if not isinstance(values, (tuple, list)) or not all(map(_is_int, values)):
+        raise UsageError(f"{op} {name} must be a tuple of ints, got {values!r}")
+    return tuple(map(int, values))
+
+
 def _check_axis(x: Tensor, op: str, axis, **counts) -> None:
     """Every argument an int (not a bool), and axis inside [-ndim, ndim)."""
     for name, value in {"axis": axis, **counts}.items():
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise UsageError(f"{op} {name} must be an int, got {value!r}")
     if not -x.data.ndim <= axis < x.data.ndim:
         raise DimensionError(f"{op} axis {axis} out of range for rank {x.data.ndim}")
@@ -425,8 +440,22 @@ def _slice(x: Tensor, axis: int, start: int, length: int, op: str) -> Tensor:
 # reductions
 # ---------------------------------------------------------------------------
 
+def _reduced_axes(x: Tensor, op: str, axis) -> tuple:
+    """axis (None, an int or a tuple of distinct ints) as a tuple of nonnegative axes."""
+    if axis is None:
+        return tuple(range(x.data.ndim))
+    axes = axis if isinstance(axis, tuple) else (axis,)
+    for a in axes:
+        _check_axis(x, op, a)
+    axes = tuple(a % x.data.ndim for a in axes)
+    if len(set(axes)) != len(axes):
+        raise DimensionError(f"{op} axis {axis} names an axis twice")
+    return axes
+
+
 def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
+    _reduced_axes(x, "sum", axis)
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
@@ -440,10 +469,7 @@ def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
 
 def mean(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
-    if axis is None:
-        n = x.data.size
-    else:
-        n = x.data.shape[axis] if isinstance(axis, int) else int(np.prod([x.data.shape[a] for a in axis]))
+    n = math.prod(x.data.shape[a] for a in _reduced_axes(x, "mean", axis))
     return scale(sum_(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 

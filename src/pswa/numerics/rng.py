@@ -5,9 +5,17 @@ state) and therefore gives the properties the package needs:
 
 * platform-stable: the same (seed, path) pair yields the same bits on
   any machine, independent of draw order elsewhere;
-* splittable: ``split(tag)`` derives an independent child stream from a
-  string or integer tag, so e.g. every model parameter can own a stream
-  named after it and initialization order stops mattering.
+* splittable: ``split(tag)`` derives a child stream from a string or
+  integer tag, so e.g. every model parameter can own a stream named
+  after it and initialization order stops mattering.  Children with
+  distinct tags are independent of each other, but not always of their
+  parent: a stream with an empty path (a root ``Rng(s)``, or a
+  grandchild, which is folded to one) has the Philox key (seed, 0), and
+  so has its ``split(0)``, so ``Rng(s).split(0)`` draws exactly
+  ``Rng(s)``'s numbers.  The package never draws from a stream it
+  splits by integer tag: ``ToyDataset`` splits its dataset stream per
+  image and each image stream per channel, and ``distance_survey``
+  splits its noise stream per timestep.
 
 Two runs with the same root seed and the same split tags produce
 bit-identical float64 draws.
@@ -48,7 +56,7 @@ class Rng:
         return self._lazy_gen
 
     def split(self, tag) -> "Rng":
-        """Derive an independent child stream keyed by ``tag``.
+        """Derive a child stream keyed by ``tag``.
 
         Splitting does not advance this stream, and children with
         different tags (or the same tag at different depths) never

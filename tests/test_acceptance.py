@@ -18,7 +18,7 @@ from oracles import (
     masked_full_attention_oracle,
 )
 
-from pswa.attention import AttentionParams, WindowSpec, window_attention
+from pswa.attention import WindowSpec, window_attention
 from pswa.block import BridgeParams, bridge_branch
 from pswa.cli import main
 from pswa.config import RunConfig
@@ -53,12 +53,11 @@ def test_window_attention_matches_masked_oracle():
             for rep in range(5):
                 channels = int(gen.choice([4, 8]))
                 heads = int(gen.choice([1, 2, 4]))
-                params = AttentionParams.create(channels, heads, Rng(1000 * instances + rep))
-                spec = WindowSpec.create(wh, ww, heads)  # bias table all zero
+                spec = WindowSpec.create(wh, ww, channels, heads, Rng(1000 * instances + rep))  # bias table all zero
                 x = gen.normal(size=(2, h, w, channels))
-                fast, _ = window_attention(Tensor(x), params, spec)
+                fast, _ = window_attention(Tensor(x), spec)
                 mask = block_window_mask(h, w, wh, ww)
-                slow = masked_full_attention_oracle(x.reshape(2, h * w, channels), params, mask)
+                slow = masked_full_attention_oracle(x.reshape(2, h * w, channels), spec, mask)
                 err = np.abs(fast.data.reshape(2, h * w, channels) - slow).max()
                 assert err < tol, f"grid {h}x{w} window {wh}x{ww}: err {err:.3e}"
                 instances += 1
@@ -100,10 +99,9 @@ def test_attention_distance_oracle_and_window_bound():
 
     # maps produced inside a window can never travel a full window side
     for wh, ww, h, w in [(2, 2, 4, 4), (2, 4, 4, 8), (4, 4, 8, 8), (1, 1, 2, 2)]:
-        params = AttentionParams.create(4, 2, Rng(wh * 10 + ww))
-        spec = WindowSpec.create(wh, ww, 2)
+        spec = WindowSpec.create(wh, ww, 4, 2, Rng(wh * 10 + ww))
         x = Tensor(gen.normal(size=(2, h, w, 4)))
-        _, maps = window_attention(x, params, spec)
+        _, maps = window_attention(x, spec)
         for g in range(maps.shape[0]):
             for head in range(maps.shape[1]):
                 d_row, d_col = attention_distance(maps.data[g, head], ww)
@@ -143,10 +141,10 @@ def test_neighborhood_and_similarity_oracles(bridge_correlation):
             assert abs(got - brute_similarity(feats, i, j, order, alpha)) < 1e-12
 
     # order 1 with a unit stencil over projected maps is the plain logit
-    params = AttentionParams.create(6, 1, Rng(3))
+    spec = WindowSpec.create(1, 1, 6, 1, Rng(3))
     x = gen.normal(size=(4, 4, 6))
-    q = (x.reshape(16, 6) @ params.w_q.data).reshape(4, 4, 6)
-    k = (x.reshape(16, 6) @ params.w_k.data).reshape(4, 4, 6)
+    q = (x.reshape(16, 6) @ spec.w_q.data).reshape(4, 4, 6)
+    k = (x.reshape(16, 6) @ spec.w_k.data).reshape(4, 4, 6)
     unit = np.ones((1, 1))
     q_agg, k_agg = bridge_correlation(q, unit), bridge_correlation(k, unit)
     for i_flat, j_flat in [(0, 15), (7, 7), (3, 12)]:

@@ -331,6 +331,31 @@ def test_train_smoke_and_artifacts(tmp_path):
     np.testing.assert_array_equal([float(r[1]) for r in rows[1:]], result.losses)
 
 
+def test_interrupted_train_keeps_the_rows_of_finished_steps(tmp_path, monkeypatch):
+    step_loss = diffusion._step_loss
+    calls = []
+
+    def interrupt_step_3(*args):
+        calls.append(1)
+        if len(calls) == 3:
+            raise KeyboardInterrupt
+        return step_loss(*args)
+
+    def metrics(out):
+        with open(out / "metrics.csv", newline="") as fh:
+            return list(csv.reader(fh))
+
+    model, dataset, schedule = tiny_setup()
+    train_model(model, dataset, schedule, Rng(1), steps=4, lr=1e-3, batch_size=4, out_dir=tmp_path / "full")
+    monkeypatch.setattr(diffusion, "_step_loss", interrupt_step_3)
+    model, dataset, schedule = tiny_setup()
+    with pytest.raises(KeyboardInterrupt):
+        train_model(model, dataset, schedule, Rng(1), steps=4, lr=1e-3, batch_size=4, out_dir=tmp_path / "cut")
+    cut, full = metrics(tmp_path / "cut"), metrics(tmp_path / "full")
+    assert len(cut) == 3  # the header plus steps 1 and 2
+    assert [r[:3] for r in cut] == [r[:3] for r in full[:3]]
+
+
 def test_train_is_bitwise_deterministic(tmp_path):
     losses = []
     for run in range(2):

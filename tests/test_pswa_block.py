@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import brute_depthwise_conv, brute_similarity
 
-from pswa.attention import AttentionParams, WindowSpec, window_attention
+from pswa.attention import WindowSpec, window_attention
 from pswa.block import (
     BridgeParams,
     PSWALayerConfig,
@@ -19,10 +19,9 @@ from pswa.numerics import Rng, Tensor
 def layer_cfg(c, h, order=2, heads=None):
     """A c-channel mixing stage: h window channels, a kernel-(2*order-1) bridge on the rest."""
     heads = heads if heads is not None else max(1, h // 2)
-    spec = WindowSpec.create(2, 2, heads) if h else None
-    attn = AttentionParams.create(h, heads, Rng(0), std=0.3) if h else None
+    spec = WindowSpec.create(2, 2, h, heads, Rng(0), std=0.3) if h else None
     bridge = BridgeParams.create(c - h, 2 * order - 1, Rng(1), std=0.3) if c - h else None
-    return PSWALayerConfig(spec, attn, bridge)
+    return PSWALayerConfig(spec, bridge)
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +49,7 @@ def test_pswa_forward_is_composition_of_branches(np_rng):
 
     x_win = Tensor(x.data[..., :h].copy())
     x_bridge = Tensor(x.data[..., h:].copy())
-    want_win, _ = window_attention(x_win, cfg.attn, cfg.window_spec)
+    want_win, _ = window_attention(x_win, cfg.window_spec)
     want_bridge = bridge_branch(x_bridge, cfg.bridge)
     np.testing.assert_array_equal(out.data[..., :h], want_win.data)
     np.testing.assert_array_equal(out.data[..., h:], want_bridge.data)
@@ -62,13 +61,13 @@ def test_pswa_forward_all_window(np_rng):
     assert cfg.bridge is None
     x = Tensor(np_rng.normal(size=(1, 4, 4, 4)))
     out, _ = pswa_forward(x, cfg)
-    want, _ = window_attention(x, cfg.attn, cfg.window_spec)
+    want, _ = window_attention(x, cfg.window_spec)
     np.testing.assert_array_equal(out.data, want.data)
 
 
 def test_pswa_forward_all_bridge(np_rng):
     cfg = layer_cfg(4, 0, order=3)
-    assert cfg.attn is None and cfg.window_spec is None
+    assert cfg.window_spec is None
     x = Tensor(np_rng.normal(size=(1, 6, 6, 4)))
     out, maps = pswa_forward(x, cfg)
     assert maps is None
@@ -78,21 +77,16 @@ def test_pswa_forward_all_bridge(np_rng):
 
 def test_pswa_forward_validates_params(np_rng):
     x = Tensor(np_rng.normal(size=(1, 4, 4, 8)))
-    spec = WindowSpec.create(2, 2, 2)
     # attention sized for 8 channels makes the stage 12 wide, against an 8-channel input
-    cfg = PSWALayerConfig(spec, AttentionParams.create(8, 2, Rng(0)), BridgeParams.create(4, 3, Rng(0)))
+    cfg = PSWALayerConfig(WindowSpec.create(2, 2, 8, 2, Rng(0)), BridgeParams.create(4, 3, Rng(0)))
     with pytest.raises(DimensionError, match="12.*8"):
         pswa_forward(x, cfg)
     # bridge params sized for 6 channels make it 10 wide
-    cfg = PSWALayerConfig(spec, AttentionParams.create(4, 2, Rng(0)), BridgeParams.create(6, 3, Rng(0)))
+    cfg = PSWALayerConfig(WindowSpec.create(2, 2, 4, 2, Rng(0)), BridgeParams.create(6, 3, Rng(0)))
     with pytest.raises(DimensionError, match="10.*8"):
         pswa_forward(x, cfg)
     with pytest.raises(DimensionError, match="6.*4"):
         bridge_branch(Tensor(np_rng.normal(size=(1, 4, 4, 4))), BridgeParams.create(6, 3, Rng(0)))
-    # a bias table with 1 head against 2-head attention params
-    cfg = PSWALayerConfig(WindowSpec.create(2, 2, 1), cfg.attn, None)
-    with pytest.raises(ConfigurationError, match="1 heads.*2"):
-        pswa_forward(Tensor(x.data[..., :4]), cfg)
 
 
 def test_bridge_kernel_tracks_order():
@@ -132,15 +126,10 @@ def test_bridge_matches_brute_loops(np_rng):
 
 
 def test_layer_config_validation():
-    spec, attn = WindowSpec.create(2, 2, 2), AttentionParams.create(4, 2, Rng(0))
-    bridge = BridgeParams.create(4, 3, Rng(0))
-    with pytest.raises(ConfigurationError, match="together"):
-        PSWALayerConfig(None, attn, bridge)  # attention without its window
-    with pytest.raises(ConfigurationError, match="together"):
-        PSWALayerConfig(spec, None, bridge)  # a window without attention
+    spec, bridge = WindowSpec.create(2, 2, 4, 2, Rng(0)), BridgeParams.create(4, 3, Rng(0))
     with pytest.raises(ConfigurationError, match="branch"):
-        PSWALayerConfig(None, None, None)  # no branch at all
-    assert PSWALayerConfig(spec, attn, bridge).total_channels == 8
+        PSWALayerConfig(None, None)  # no branch at all
+    assert PSWALayerConfig(spec, bridge).total_channels == 8
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +226,10 @@ def test_similarity_order1_unit_stencil_is_pairwise_logit(np_rng, bridge_correla
     # with K=1, a unit stencil, and separately projected q/k maps, the
     # similarity IS the attention logit q_i . k_j
     c, heads = 6, 2
-    params = AttentionParams.create(c, heads, Rng(7), std=0.4)
+    spec = WindowSpec.create(1, 1, c, heads, Rng(7), std=0.4)
     x = np_rng.normal(size=(4, 4, c))
-    q = x.reshape(16, c) @ params.w_q.data
-    k = x.reshape(16, c) @ params.w_k.data
+    q = x.reshape(16, c) @ spec.w_q.data
+    k = x.reshape(16, c) @ spec.w_k.data
     alpha = np.ones((1, 1))
     q_agg = bridge_correlation(q.reshape(4, 4, c), alpha)
     k_agg = bridge_correlation(k.reshape(4, 4, c), alpha)

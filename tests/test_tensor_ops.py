@@ -345,6 +345,51 @@ def test_split_rejects_bad_arguments(args, error):
         ops.split(Tensor(np.zeros((3, 6))), *args)
 
 
+@pytest.mark.parametrize("call, error", [
+    (lambda x: ops.transpose(x, (1.7, 0)), UsageError),  # int(1.7) would run it as (1, 0)
+    (lambda x: ops.transpose(x, (True, 0)), UsageError),
+    (lambda x: ops.transpose(x, (0, 0)), DimensionError),
+    (lambda x: ops.transpose(x, (0, 2)), DimensionError),
+    (lambda x: ops.transpose(x, (0,)), DimensionError),
+    (lambda x: ops.transpose(x, 1), UsageError),
+    (lambda x: ops.reshape(x, (3.9, 4)), UsageError),  # int(3.9) would run it as (3, 4)
+    (lambda x: ops.reshape(x, (12, True)), UsageError),
+    (lambda x: ops.reshape(x, (5, 2)), DimensionError),
+    (lambda x: ops.reshape(x, 12), UsageError),
+    (lambda x: ops.concat([x, x], 1.0), UsageError),
+    (lambda x: ops.concat([x, x], 2), DimensionError),
+    (lambda x: ops.concat([x, x], -3), DimensionError),
+    (lambda x: ops.concat([x, Tensor(np.zeros((2, 4)))], 1), DimensionError),
+    (lambda x: ops.concat([x, Tensor(np.zeros((3, 4, 1)))], 0), DimensionError),
+    (lambda x: ops.sum_(x, axis=2), DimensionError),
+    (lambda x: ops.sum_(x, axis=1.0), UsageError),
+    (lambda x: ops.sum_(x, axis=[0]), UsageError),
+    (lambda x: ops.sum_(x, axis=(0, -2)), DimensionError),
+    (lambda x: ops.mean(x, axis=-3), DimensionError),
+    (lambda x: ops.mean(x, axis=(0, 1.0)), UsageError),
+    (lambda x: ops.mean(x, axis=(1, 1)), DimensionError),
+], ids=[
+    "transpose-float", "transpose-bool", "transpose-repeat", "transpose-range", "transpose-rank",
+    "transpose-scalar", "reshape-float", "reshape-bool", "reshape-size", "reshape-scalar",
+    "concat-float-axis", "concat-axis-high", "concat-axis-low", "concat-extent", "concat-rank",
+    "sum-axis-range", "sum-float-axis", "sum-list-axis", "sum-repeat", "mean-axis-range",
+    "mean-float-axis", "mean-repeat",
+])
+def test_shape_ops_reject_bad_arguments(call, error):
+    with pytest.raises(error):
+        call(Tensor(np.zeros((3, 4))))
+
+
+def test_shape_ops_take_numpy_ints_and_negative_axes():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    t = Tensor(x)
+    np.testing.assert_array_equal(ops.transpose(t, (np.int64(2), 0, 1)).data, x.transpose(2, 0, 1))
+    np.testing.assert_array_equal(ops.reshape(t, (np.int64(6), -1)).data, x.reshape(6, 4))
+    np.testing.assert_array_equal(ops.concat([t, t], -1).data, np.concatenate([x, x], -1))
+    np.testing.assert_array_equal(ops.sum_(t, axis=(0, -1)).data, x.sum(axis=(0, -1)))
+    np.testing.assert_array_equal(ops.mean(t, axis=np.int64(1)).data, x.sum(axis=1) * (1.0 / 3))
+
+
 # ---------------------------------------------------------------------------
 # gradients: finite differences on every exported op
 # ---------------------------------------------------------------------------
@@ -432,6 +477,15 @@ def test_rng_split_streams_differ_and_parent_unaffected():
 def test_rng_same_tag_same_stream():
     assert (Rng(3).split("x").normal((5,)) == Rng(3).split("x").normal((5,))).all()
     assert (Rng(3).split(17).normal((5,)) == Rng(3).split(17).normal((5,))).all()
+
+
+def test_rng_split_zero_of_an_empty_path_is_the_parent():
+    # the documented exception to independence: Philox key (seed, 0) both ways
+    image = Rng(5).split("toy-dataset").split(3)  # a grandchild, folded to an empty path
+    for parent in (Rng(5), image):
+        assert parent.path == ()
+        assert (parent.split(0).normal((6,)) == Rng(parent.seed).normal((6,))).all()
+    assert not (Rng(5).split("x").split(0).normal((6,)) == Rng(5).split("x").normal((6,))).all()
 
 
 def test_rng_deep_split_stable():

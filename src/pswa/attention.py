@@ -35,6 +35,11 @@ def relative_position_index(window_h: int, window_w: int) -> np.ndarray:
     return (d_row * (2 * window_w - 1) + d_col).reshape(-1).astype(np.int64)
 
 
+def _check_extents(window_h: int, window_w: int) -> None:
+    if window_h < 1 or window_w < 1:
+        raise ConfigurationError(f"window extents must be >= 1, got {window_h}x{window_w}")
+
+
 class WindowSpec:
     """One window branch: its geometry, learned relative-position bias
     table and q/k/v/o projections.
@@ -46,8 +51,7 @@ class WindowSpec:
     """
 
     def __init__(self, window_h: int, window_w: int, bias_table: Tensor, w_q: Tensor, w_k: Tensor, w_v: Tensor, w_o: Tensor):
-        if window_h < 1 or window_w < 1:
-            raise ConfigurationError(f"window extents must be >= 1, got {window_h}x{window_w}")
+        _check_extents(window_h, window_w)
         table_cols = (2 * window_h - 1) * (2 * window_w - 1)
         if bias_table.ndim != 2 or bias_table.shape[0] < 1 or bias_table.shape[1] != table_cols:
             raise DimensionError(
@@ -84,6 +88,10 @@ class WindowSpec:
     @classmethod
     def create(cls, window_h: int, window_w: int, channels: int, num_heads: int, rng: Rng, std: float = 0.02) -> "WindowSpec":
         """A zero bias table and N(0, std) projections, each drawn from ``rng.split(name)``."""
+        _check_extents(window_h, window_w)
+        if channels < 1 or num_heads < 1:
+            raise DimensionError(f"a window branch needs channels >= 1 and heads >= 1, got {channels} and {num_heads}")
+
         def w(tag):
             return Tensor(rng.split(tag).normal((channels, channels), std=std), requires_grad=True)
 

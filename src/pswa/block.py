@@ -64,6 +64,8 @@ class BridgeParams:
 
     @classmethod
     def create(cls, channels: int, kernel: int, rng: Rng, std: float = 0.02) -> "BridgeParams":
+        if channels < 1 or kernel < 1:
+            raise DimensionError(f"a bridge needs channels >= 1 and kernel >= 1, got {channels} and {kernel}")
         return cls(
             depthwise=Tensor(rng.split("depthwise").normal((channels, kernel, kernel), std=std), requires_grad=True),
             pointwise_w=Tensor(rng.split("pointwise").normal((channels, channels), std=std), requires_grad=True),

@@ -108,12 +108,13 @@ def distance_survey(model: ToyDiT, images: np.ndarray, schedule: NoiseSchedule, 
 
     Protocol: draw ``num_samples`` triples uniformly with replacement
     from the product of layers that have a window branch, their heads,
-    and schedule timesteps.  For each distinct timestep, corrupt the
-    fixed ``images`` batch once (noise from a stream named after t) and
-    run one forward pass; each record then averages the per-window
-    attention distances of its (layer, head) over every window and
-    batch element.  Everything is pinned by ``rng``, so a seed
-    reproduces the survey exactly.
+    and schedule timesteps.  For each distinct timestep, in increasing
+    order, corrupt the fixed ``images`` batch once (noise from a stream
+    named after t) and run one forward pass; each record then averages
+    the per-window attention distances of its (layer, head) over every
+    window and batch element.  Records come in the order of their draws.
+    Everything is pinned by ``rng``, so a seed reproduces the survey
+    exactly.
     """
     if num_samples < 1:
         raise ConfigurationError("num_samples must be >= 1")
@@ -131,21 +132,27 @@ def distance_survey(model: ToyDiT, images: np.ndarray, schedule: NoiseSchedule, 
         for _ in range(num_samples)
     ]
 
-    maps_by_t: dict[int, list] = {}
+    records: dict[int, SurveyRecord] = {}
     noise_rng = rng.split("survey-noise")
     for t in sorted({t for (_, _, t) in triples}):
-        noise = noise_rng.split(t).normal(images.shape)
-        x_t = q_sample(images, t, noise, schedule)
-        collected: list = []
-        with no_grad():
-            model.forward(Tensor(x_t), np.full(images.shape[0], t, dtype=np.int64), collect_maps=collected)
-        maps_by_t[t] = collected
+        x_t = q_sample(images, t, noise_rng.split(t).normal(images.shape), schedule)
+        records.update(_timestep_records(model, x_t, t, triples))
+    return [records[i] for i in range(num_samples)]
 
-    records = []
-    for layer, head, t in triples:
-        maps = maps_by_t[t][layer]  # [B*nW, heads, wn, wn]
-        d_row, d_col = attention_distance(maps.data[:, head], model.layer_configs[layer].window_spec.window_w)
-        records.append(SurveyRecord(layer, head, t, float(d_row.mean()), float(d_col.mean())))
+
+def _timestep_records(model: ToyDiT, x_t: np.ndarray, t: int, triples: list) -> dict:
+    """One forward of ``x_t`` at timestep t, reduced to the record of each
+    triple at t, keyed by its index.  The maps die on return, so a survey
+    holds one timestep's maps at a time."""
+    maps: list = []
+    with no_grad():
+        model.forward(Tensor(x_t), np.full(x_t.shape[0], t, dtype=np.int64), collect_maps=maps)
+    records = {}
+    for i, (layer, head, t_i) in enumerate(triples):
+        if t_i == t:
+            layer_maps = maps[layer].data  # [B*nW, heads, wn, wn]
+            d_row, d_col = attention_distance(layer_maps[:, head], model.layer_configs[layer].window_spec.window_w)
+            records[i] = SurveyRecord(layer, head, t, float(d_row.mean()), float(d_col.mean()))
     return records
 
 

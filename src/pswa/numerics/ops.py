@@ -4,7 +4,10 @@ Every op validates shapes up front, computes the forward pass with
 numpy, and (when grad mode is on and an input participates) records an
 OpNode whose ``backward`` closure returns analytic vector-Jacobian
 products.  Gradients of non-participating inputs are exactly zero: none
-are recorded for them at all.
+are recorded for them at all.  A closure captures the arrays its vjp
+reads; of an input whose values no vjp reads (add's and sub's operands,
+reshape's input, a slice's source, sum's input) it captures only the
+shape and dtype, so the graph does not keep that input's array alive.
 
 Layout conventions used throughout the package:
   * token matrices are [..., N, C] with C last,
@@ -31,7 +34,8 @@ def _result(data: np.ndarray, op: str, parents: Sequence[Tensor], backward) -> T
     out = Tensor._wrap(np.ascontiguousarray(data))
     if grad_enabled() and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.node = OpNode(op, tuple(parents), backward)
+        vertices = tuple(p.node or (p if p.requires_grad else None) for p in parents)
+        out.node = OpNode(op, out.data.shape, vertices, backward)
     return out
 
 
@@ -55,9 +59,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _result(data, "add", (a, b), backward)
 
@@ -65,9 +70,10 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     data = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(-g, sb)
 
     return _result(data, "sub", (a, b), backward)
 
@@ -287,7 +293,8 @@ def depthwise_conv2d(x, kernels) -> Tensor:
     p = k // 2
 
     xp = _pad_hw(x.data, p)
-    out = np.zeros_like(x.data)
+    shape, dtype = x.data.shape, x.data.dtype
+    out = np.zeros(shape, dtype=dtype)
     for u in range(k):
         for v in range(k):
             out += xp[:, u : u + h, v : v + w] * kernels.data[:, u, v]
@@ -295,7 +302,7 @@ def depthwise_conv2d(x, kernels) -> Tensor:
 
     def backward(g):
         gp = _pad_hw(g, p)
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype=dtype)
         dk = np.zeros_like(kernels.data)
         for u in range(k):
             for v in range(k):
@@ -341,9 +348,10 @@ def reshape(x, shape) -> Tensor:
         data = x.data.reshape(shape)
     except ValueError as exc:
         raise DimensionError(f"cannot reshape {x.data.shape} to {shape}: {exc}") from None
+    shape_in = x.data.shape
 
     def backward(g):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(shape_in),)
 
     return _result(data, "reshape", (x,), backward)
 
@@ -427,9 +435,10 @@ def _slice(x: Tensor, axis: int, start: int, length: int, op: str) -> Tensor:
     index = [slice(None)] * x.data.ndim
     index[axis] = slice(start, start + length)
     index = tuple(index)
+    shape, dtype = x.data.shape, x.data.dtype
 
     def backward(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(shape, dtype=dtype)
         dx[index] = g
         return (dx,)
 
@@ -457,12 +466,13 @@ def sum_(x, axis=None, keepdims: bool = False) -> Tensor:
     x = as_tensor(x)
     _reduced_axes(x, "sum", axis)
     data = x.data.sum(axis=axis, keepdims=keepdims)
+    shape = x.data.shape
 
     def backward(g):
         if axis is None:
-            return (np.broadcast_to(g.reshape(()), x.data.shape).copy(),)
+            return (np.broadcast_to(g.reshape(()), shape).copy(),)
         g2 = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g2, x.data.shape).copy(),)
+        return (np.broadcast_to(g2, shape).copy(),)
 
     return _result(np.asarray(data), "sum", (x,), backward)
 

@@ -11,6 +11,13 @@ gradients still in flight, not a second copy of every activation.  The
 graph itself lives as long as the output tensor does: a training loop
 that drops its loss after the update keeps one step's graph at a time.
 
+The graph links node to node, not tensor to tensor: an OpNode holds its
+parents' OpNodes (a leaf parent as the leaf Tensor itself) and its
+output shape, never an op output.  So an array stays alive in the graph
+only while a vjp closure reads it; an output no backward reads (a
+``q @ k^T`` that only ``scale`` consumes, say) is freed as soon as the
+caller drops it.
+
 Finite checks run at the boundaries, not per op.  Always checked: a
 ``Tensor(...)`` built from outside data and every ``assign_`` (the
 optimizer update).  ``train_model`` also checks the loss and every leaf
@@ -77,16 +84,20 @@ def no_grad():
 
 
 class OpNode:
-    """One recorded op: name, parent tensors, and a vjp callback.
+    """One recorded op: name, output shape, parent vertices, and a vjp callback.
 
-    ``backward(g)`` receives the upstream gradient (ndarray, same shape
-    as the op's output) and returns one ndarray-or-None per parent.
+    ``parents`` has one entry per op input: that input's OpNode if an op
+    made it, the input Tensor itself if it is a leaf with
+    ``requires_grad``, and None if it takes no part in the gradient.
+    ``backward(g)`` receives the upstream gradient (ndarray, of
+    ``shape``) and returns one ndarray-or-None per parent.
     """
 
-    __slots__ = ("op", "parents", "backward")
+    __slots__ = ("op", "shape", "parents", "backward")
 
-    def __init__(self, op: str, parents: tuple, backward: Callable):
+    def __init__(self, op: str, shape: tuple, parents: tuple, backward: Callable):
         self.op = op
+        self.shape = shape
         self.parents = parents
         self.backward = backward
 
@@ -179,49 +190,52 @@ class Tensor:
 
 
 class GradTape:
-    """Reverse-topological replay schedule for one graph output."""
+    """Reverse-topological replay schedule for one graph output.
+
+    ``order`` lists the graph's vertices, inputs first and the root's
+    last: an OpNode for each op output and the leaf Tensor itself for
+    each leaf with ``requires_grad`` (the root, if it is a leaf).
+    """
 
     def __init__(self, root: Tensor):
         self.root = root
-        self.order: list[Tensor] = []  # inputs first, root last
+        self.order: list = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(root, False)]
+        stack: list[tuple[object, bool]] = [(root if root.node is None else root.node, False)]
         while stack:
-            t, expanded = stack.pop()
+            v, expanded = stack.pop()
             if expanded:
-                self.order.append(t)
+                self.order.append(v)
                 continue
-            if id(t) in visited:
+            if id(v) in visited:
                 continue
-            visited.add(id(t))
-            stack.append((t, True))
-            if t.node is not None:
-                for p in t.node.parents:
-                    if p.requires_grad and id(p) not in visited:
+            visited.add(id(v))
+            stack.append((v, True))
+            if isinstance(v, OpNode):
+                for p in v.parents:
+                    if p is not None and id(p) not in visited:
                         stack.append((p, False))
 
     def run(self, seed: np.ndarray) -> None:
-        grads: dict[int, np.ndarray] = {id(self.root): seed}
-        for t in reversed(self.order):
-            g = grads.pop(id(t), None)
+        grads: dict[int, np.ndarray] = {id(self.order[-1]): seed}
+        for v in reversed(self.order):
+            g = grads.pop(id(v), None)
             if g is None:
                 continue  # reachable but received no gradient
-            if t.node is None:  # a leaf: the only tensors that keep .grad
-                if t.requires_grad:
-                    t.grad = g if t.grad is None else t.grad + g
+            if isinstance(v, Tensor):  # a leaf: the only vertices that keep .grad
+                if v.requires_grad:
+                    v.grad = g if v.grad is None else v.grad + g
                 continue
-            contribs = t.node.backward(g)
-            if len(contribs) != len(t.node.parents):
-                raise NumericsError(f"op {t.node.op!r} returned {len(contribs)} grads for {len(t.node.parents)} parents")
-            for parent, contrib in zip(t.node.parents, contribs):
-                if not parent.requires_grad or contrib is None:
+            contribs = v.backward(g)
+            if len(contribs) != len(v.parents):
+                raise NumericsError(f"op {v.op!r} returned {len(contribs)} grads for {len(v.parents)} parents")
+            for parent, contrib in zip(v.parents, contribs):
+                if parent is None or contrib is None:
                     continue
-                if contrib.shape != parent.data.shape:
-                    raise DimensionError(
-                        f"op {t.node.op!r}: gradient shape {contrib.shape} != parent shape {parent.data.shape}"
-                    )
+                if contrib.shape != parent.shape:
+                    raise DimensionError(f"op {v.op!r}: gradient shape {contrib.shape} != parent shape {parent.shape}")
                 if _debug_checks and not np.all(np.isfinite(contrib)):
-                    raise NumericsError(f"op {t.node.op!r} produced a non-finite gradient")
+                    raise NumericsError(f"op {v.op!r} produced a non-finite gradient")
                 key = id(parent)
                 if key in grads:
                     grads[key] = grads[key] + contrib

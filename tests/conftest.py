@@ -20,6 +20,18 @@ def np_rng():
     return np.random.default_rng(1234)
 
 
+class _NoDraws:
+    """An Rng stand-in that fails the test on the first stream it is asked for."""
+
+    def split(self, tag):
+        raise AssertionError(f"drew from stream {tag!r} before refusing the sizes")
+
+
+@pytest.fixture
+def no_draws():
+    return _NoDraws()
+
+
 @pytest.fixture
 def bridge_correlation():
     """[H, W, C] features correlated as the bridge does, with a shared

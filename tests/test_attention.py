@@ -89,6 +89,19 @@ def test_window_spec_validates_table_shape():
         WindowSpec(2, 2, Tensor(np.zeros((2, 9))), *_projections(4)[:2], Tensor(np.zeros((4, 2))), Tensor(np.zeros((4, 4))))
 
 
+@pytest.mark.parametrize("sizes, error", [
+    ((2, 2, 4, -1), DimensionError),
+    ((2, 2, -4, 2), DimensionError),
+    ((2, 2, 0, 1), DimensionError),
+    ((0, 2, 4, 1), ConfigurationError),
+    ((2, -1, 4, 1), ConfigurationError),
+])
+def test_window_spec_create_refuses_bad_sizes_before_drawing(sizes, error, no_draws):
+    # a negative head count or width reached np.zeros / Rng.normal and leaked numpy's ValueError
+    with pytest.raises(error):
+        WindowSpec.create(*sizes, no_draws)
+
+
 def test_window_spec_heads_are_the_bias_table_rows():
     # the head count has one owner: a table whose rows do not divide the projection is refused
     with pytest.raises(ConfigurationError, match="channels 4 not divisible by num_heads 3"):

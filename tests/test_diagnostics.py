@@ -1,4 +1,5 @@
 import csv
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from pswa.diagnostics import (
     write_flops_csv,
     write_spectrum_csv,
 )
-from pswa.diffusion import NoiseSchedule
+from pswa.diffusion import NoiseSchedule, q_sample
 from pswa.errors import ConfigurationError, DegenerateMapError, DimensionError, NumericsError
 from pswa.model import ToyDiT, ToyDiTConfig
 from pswa.numerics import Rng, Tensor, no_grad
@@ -206,6 +207,42 @@ def test_survey_skips_bridge_only_layers(np_rng):
     nowin = ToyDiT(tiny_cfg(fractions=(0.0, 0.0)), Rng(5))
     with pytest.raises(ConfigurationError):
         distance_survey(nowin, images, schedule, Rng(0), num_samples=4)
+
+
+def test_survey_holds_one_timestep_of_maps_and_keeps_the_draw_order(monkeypatch):
+    model = ToyDiT(tiny_cfg(patch=2), Rng(5))  # 4x4 tokens, four 2x2 windows per image
+    schedule = NoiseSchedule.linear(10)
+    images = Rng(7).normal((2, 1, 8, 8))
+    forward, refs, alive, timesteps = model.forward, [], [], []
+
+    def spy(x, t, labels=None, collect_maps=None, **kw):
+        alive.append(sum(ref() is not None for ref in refs))  # earlier timesteps' maps still alive
+        out = forward(x, t, labels, collect_maps=collect_maps, **kw)
+        refs.extend(weakref.ref(m.data) for m in collect_maps)
+        timesteps.append(int(t[0]))
+        return out
+
+    monkeypatch.setattr(model, "forward", spy)
+    records = distance_survey(model, images, schedule, Rng(11), num_samples=12)
+    monkeypatch.undo()
+    assert len(timesteps) >= 3 and timesteps == sorted(set(timesteps))
+    assert alive == [0] * len(timesteps)
+
+    # brute: redraw the picks, then one forward per record at its timestep
+    eligible = [(l, h) for l in range(2) for h in range(model.layer_configs[l].window_spec.num_heads)]
+    pick = Rng(11).split("survey-picks")
+    want = []
+    for _ in range(12):
+        layer, head = eligible[int(pick.integers(0, len(eligible)))]
+        t = int(pick.integers(0, schedule.timesteps))
+        x_t = q_sample(images, t, Rng(11).split("survey-noise").split(t).normal(images.shape), schedule)
+        maps = []
+        with no_grad():
+            model.forward(Tensor(x_t), np.full(2, t, dtype=np.int64), collect_maps=maps)
+        per_window = [brute_attention_distance(m, 2) for m in maps[layer].data[:, head]]
+        want.append((layer, head, t, *np.mean(per_window, axis=0)))
+    assert [(r.layer, r.head, r.timestep) for r in records] == [w[:3] for w in want]
+    np.testing.assert_allclose([(r.d_row, r.d_col) for r in records], [w[3:] for w in want], rtol=1e-12, atol=0)
 
 
 def test_survey_and_spectrum_known_answers():

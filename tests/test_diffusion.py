@@ -18,7 +18,7 @@ from pswa.diffusion import (
 )
 from pswa.errors import ConfigurationError, DimensionError, DomainError, NumericsError, UsageError
 from pswa.model import ToyDiT, ToyDiTConfig, load_checkpoint
-from pswa.numerics import Rng, Tensor, no_grad, ops, set_debug_checks, set_default_dtype
+from pswa.numerics import OpNode, Rng, Tensor, no_grad, ops, set_debug_checks, set_default_dtype
 
 
 def tiny_cfg(**kw):
@@ -195,21 +195,36 @@ def test_training_loss_reaches_parameters():
     assert np.abs(grads["blocks.0.mod.w"]).max() > 0
 
 
-def test_backward_leaves_gradients_on_leaves_only():
+def test_backward_leaves_gradients_on_leaves_only(monkeypatch):
     model, dataset, schedule = tiny_setup()
+    held = []  # op outputs this test keeps: every block's maps and tokens, and the prediction
+    forward = model.forward
+
+    def keep(*args):
+        out = forward(*args, collect_maps=held, collect_tokens=held)
+        held.append(out)
+        return out
+
+    monkeypatch.setattr(model, "forward", keep)
     loss = training_loss(model, dataset.batch(Rng(1), 2), schedule, Rng(2))
+    held.append(loss)
     loss.backward()
-    seen, stack, inner = set(), [loss], 0
+    params = {id(p) for p in model.named_parameters().values()}
+    seen, stack, inner = set(), [loss.node], 0
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
+        v = stack.pop()
+        if v is None or id(v) in seen:
             continue
-        seen.add(id(t))
-        if t.node is not None:
+        seen.add(id(v))
+        if isinstance(v, OpNode):
             inner += 1
-            assert t.grad is None, f"op {t.node.op!r} output holds a gradient"
-            stack.extend(t.node.parents)
+            stack.extend(v.parents)
+        else:  # the graph reaches a Tensor only at a leaf
+            assert isinstance(v, Tensor) and v.node is None and v.requires_grad
+            assert id(v) in params
     assert inner > 100
+    assert len(held) >= 4 and all(t.node is not None for t in held)
+    assert all(t.grad is None for t in held), "an op output holds a gradient"
     assert all(p.grad is not None for p in model.named_parameters().values())
 
 

@@ -89,6 +89,12 @@ def test_pswa_forward_validates_params(np_rng):
         bridge_branch(Tensor(np_rng.normal(size=(1, 4, 4, 4))), BridgeParams.create(6, 3, Rng(0)))
 
 
+@pytest.mark.parametrize("channels, kernel", [(-2, 3), (2, -3), (0, 3), (2, 0)])
+def test_bridge_params_create_refuses_bad_sizes_before_drawing(channels, kernel, no_draws):
+    with pytest.raises(DimensionError, match="channels >= 1 and kernel >= 1"):
+        BridgeParams.create(channels, kernel, no_draws)
+
+
 def test_bridge_kernel_tracks_order():
     # the model sizes every bridge kernel 2K - 1 from the configured order K
     for order, kernel in [(1, 1), (2, 3), (3, 5), (5, 9)]:

@@ -4,6 +4,7 @@ import struct
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,8 @@ import pytest
 import pswa
 from pswa.errors import DimensionError, NumericsError, UsageError
 from pswa.numerics import (
+    GradTape,
+    OpNode,
     Rng,
     Tensor,
     debug_checks_enabled,
@@ -419,6 +422,51 @@ def test_gradcheck_core_ops(seed):
     for fn, inputs in checks:
         report = gradcheck(fn, inputs)
         assert report.max_err < 1e-5, str(report)
+
+
+def _logits_chain(q, k, bias):
+    s = ops.matmul(q, k)
+    c = ops.scale(s, 0.5)
+    a = ops.add(c, bias)
+    return ops.softmax_rows(a), (s, c, a)
+
+
+def _plumbing(a, w):
+    x = ops.matmul(a, w)  # [4, 6]
+    r = ops.reshape(x, (6, 4))
+    pieces = ops.split(r, 2, axis=1)
+    n = ops.narrow(r, 1, 1, 2)
+    return ops.concat([ops.softmax_rows(p) for p in (*pieces, n)], axis=1), (x, r, *pieces, n)
+
+
+@pytest.mark.parametrize("build, in_shapes, out_shape", [
+    (_logits_chain, [(2, 3, 4), (2, 4, 3), (3, 3)], (2, 3, 3)),
+    (_plumbing, [(4, 5), (5, 6)], (6, 6)),
+])
+def test_graph_frees_arrays_no_backward_reads(build, in_shapes, out_shape):
+    # matmul -> scale -> add feed softmax_rows, whose vjp reads only its output;
+    # reshape, split and narrow read only their input's shape
+    rng = np.random.default_rng(5)
+    inputs = [Tensor(rng.normal(size=s), requires_grad=True) for s in in_shapes]
+    w = rng.normal(size=out_shape)
+    out, held = build(*inputs)
+    refs = [weakref.ref(t.data) for t in held]
+    del held
+    assert [ref() for ref in refs] == [None] * len(refs)  # freed while ``out`` and its graph live
+    loss = _weighted(out, w)
+    order = GradTape(loss).order
+    assert order[-1] is loss.node
+    assert all(isinstance(v, OpNode) or (v.node is None and v.requires_grad) for v in order)
+    loss.backward()
+    from_freed = [t.grad for t in inputs]
+    for t in inputs:
+        t.grad = None
+    out, held = build(*inputs)  # the same graph with every intermediate kept
+    _weighted(out, w).backward()
+    for got, t in zip(from_freed, inputs):
+        np.testing.assert_array_equal(got, t.grad)
+    report = gradcheck(lambda *args: _weighted(build(*args)[0], w), inputs)
+    assert report.max_err < 1e-5, str(report)
 
 
 def test_gradcheck_rejects_nonscalar():
